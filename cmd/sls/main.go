@@ -231,9 +231,17 @@ func cmdAttach(img string, args []string) error {
 	}
 	fmt.Printf("%s attached: counter=%d, %d checkpoints, last stop %v\n",
 		*name, v, g.Checkpoints(), st.StopTime)
+	printCheckpointStats(st)
+	return save(m, img)
+}
+
+// printCheckpointStats prints the serialize and flush stages of one
+// checkpoint: objects serialized versus kept clean (unchanged since their
+// last record), then the flush pipeline.
+func printCheckpointStats(st aurora.CheckpointStats) {
+	fmt.Printf("  serialize: %d objects, %d clean, %v\n", st.Objects, st.CleanObjects, st.OSTime)
 	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
 		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
-	return save(m, img)
 }
 
 func cmdCheckpoint(img string, args []string) error {
@@ -256,8 +264,7 @@ func cmdCheckpoint(img string, args []string) error {
 		return err
 	}
 	fmt.Printf("checkpointed %s: epoch %d, stop %v\n", *name, st.Epoch, st.StopTime)
-	fmt.Printf("  flush: %d bytes via %d workers (depth %d), encode %v, write %v\n",
-		st.FlushBytes, st.FlushWorkers, st.MaxQueueDepth, st.EncodeTime, st.WriteTime)
+	printCheckpointStats(st)
 	return save(m, img)
 }
 

@@ -242,6 +242,14 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 		add("sls.spec", "group %q negative speculation counters (%d speculated, %d validated)", g.Name, spec, validated)
 	}
 
+	// Dirty tracking (sls.osclean): a record the checkpoint keeps because
+	// its object's generation has not moved must still be exactly what a
+	// fresh encoding of the object produces.
+	r.Rules++
+	r.Objects += g.AuditCleanRecords(func(oid objstore.OID, detail string) {
+		add("sls.osclean", "group %q object %d: %s", g.Name, oid, detail)
+	})
+
 	// VM rules: every mapped object must be alive and referenced; shadow
 	// chains must terminate; dirty PTEs must be writable and point at live
 	// objects.

@@ -313,3 +313,77 @@ func TestReportString(t *testing.T) {
 		t.Fatalf("violation not rendered: %q", s)
 	}
 }
+
+// TestOSCleanCatchesSkippedBump shows the sls.osclean rule has teeth: a
+// mutation that skips its generation bump leaves incremental checkpoints
+// keeping the stale record, and the audit names the object — without
+// charging virtual time. The proper mutator bumps, the next checkpoint
+// rewrites the record, and the rule clears.
+func TestOSCleanCatchesSkippedBump(t *testing.T) {
+	w, p := busyWorld(t)
+	g, _ := w.o.GroupByName("app")
+	fd, err := p.Socket(kern.KindSocketTCP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A pipe with a full buffer spills its record out of line: the audit
+	// must read that one through the store's untimed port.
+	_, wfd, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.SetFlags(wfd, kern.OWrite|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Write(wfd, make([]byte, kern.PipeCapacity)); err != nil || n != kern.PipeCapacity {
+		t.Fatalf("fill pipe: %d, %v", n, err)
+	}
+	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	a := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	at := w.clk.Now()
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("audit after checkpoint:\n%s", rep)
+	}
+	if w.clk.Now() != at {
+		t.Fatalf("audit charged %v of virtual time", w.clk.Now()-at)
+	}
+
+	sk, err := p.Sock(fd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk.Options = 0xbeef // recorded state changed behind the kernel's back
+	st, err := g.Checkpoint(sls.CkptIncremental)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CleanObjects == 0 {
+		t.Fatal("checkpoint rewrote every record; nothing left to audit")
+	}
+	at = w.clk.Now()
+	rep := a.Run()
+	if w.clk.Now() != at {
+		t.Fatalf("audit charged %v of virtual time", w.clk.Now()-at)
+	}
+	var hits []Violation
+	for _, v := range rep.Violations {
+		if v.Rule == "sls.osclean" {
+			hits = append(hits, v)
+		}
+	}
+	if len(hits) != 1 || len(rep.Violations) != 1 || !strings.Contains(hits[0].Detail, "*kern.Socket") {
+		t.Fatalf("want exactly one sls.osclean violation naming the socket, got:\n%s", rep)
+	}
+
+	if err := p.SetSockOpt(fd, 0xbeef); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	if rep := a.Run(); !rep.OK() {
+		t.Fatalf("audit after the bumping mutator:\n%s", rep)
+	}
+}

@@ -60,7 +60,7 @@ func (r Fig4Result) Render() string {
 // complement of client connections: 576 established TCP sockets live in the
 // server's descriptor table, and serializing them is a real component of
 // every checkpoint's stop time.
-func memcachedWorld(scale Scale) (*World, *memcached.Server, *workload.ETC, int, error) {
+func memcachedWorld(scale Scale) (*World, *memcached.Server, *workload.ETC, []*kern.Socket, error) {
 	// ~8 items per 512 B slot page: the hot item space spans ~7.5 k pages
 	// at full scale, matching the paper's saturation behaviour (the whole
 	// LRU-touched set re-faults within one short checkpoint interval).
@@ -70,46 +70,67 @@ func memcachedWorld(scale Scale) (*World, *memcached.Server, *workload.ETC, int,
 	}
 	w, err := NewWorld(16 << 30)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	s, err := memcached.New(w.K, items)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	// Connection state: one listener plus MemcachedConns established.
 	lfd, err := s.Proc.Socket(kern.KindSocketTCP)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	if err := s.Proc.Bind(lfd, "10.0.0.1:11211"); err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	if err := s.Proc.Listen(lfd); err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, nil, nil, err
 	}
 	client := w.K.NewProc("mutilate")
+	conns := make([]*kern.Socket, 0, MemcachedConns)
 	for i := 0; i < MemcachedConns; i++ {
 		cfd, err := client.Socket(kern.KindSocketTCP)
 		if err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, nil, err
 		}
 		if err := client.Bind(cfd, fmt.Sprintf("10.0.0.%d:%d", 2+i/256, 10000+i%256)); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, nil, err
 		}
 		if err := client.Connect(cfd, "10.0.0.1:11211"); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, nil, err
 		}
-		if _, err := s.Proc.Accept(lfd); err != nil {
-			return nil, nil, nil, 0, err
+		fd, err := s.Proc.Accept(lfd)
+		if err != nil {
+			return nil, nil, nil, nil, err
 		}
+		conn, err := s.Proc.Sock(fd)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		conns = append(conns, conn)
 	}
 	gen := workload.NewETC(1, items)
 	for _, op := range workload.Fill(items, "etc", 300) {
 		if err := s.Apply(op); err != nil {
-			return nil, nil, nil, 0, err
+			return nil, nil, nil, nil, err
 		}
 	}
-	return w, s, gen, items, nil
+	return w, s, gen, conns, nil
+}
+
+// apply serves the i-th request, which arrives on connection i mod
+// MemcachedConns (mutilate spreads its requests across its connections):
+// the server runs the op and the connection carries the exchange, so a
+// connection that served a request since the last checkpoint is dirty
+// there. The network path itself is charged by the load model (the
+// server's service time and baseNetLatency), not by the connection.
+func apply(s *memcached.Server, conns []*kern.Socket, i int64, op workload.Op) error {
+	if err := s.Apply(op); err != nil {
+		return err
+	}
+	conns[i%int64(len(conns))].Carry(len(op.Key) + len(op.Value))
+	return nil
 }
 
 // Fig4Periods lists the sweep (0 = baseline).
@@ -134,7 +155,7 @@ func Fig4(scale Scale) (Fig4Result, error) {
 
 func fig4Point(scale Scale, periodMS int, dur time.Duration) (Fig4Point, error) {
 	pt := Fig4Point{PeriodMS: periodMS}
-	w, s, gen, _, err := memcachedWorld(scale)
+	w, s, gen, conns, err := memcachedWorld(scale)
 	if err != nil {
 		return pt, err
 	}
@@ -156,7 +177,7 @@ func fig4Point(scale Scale, periodMS int, dur time.Duration) (Fig4Point, error) 
 	// checkpoint triggers on the virtual clock.
 	for w.Clk.Now()-start < dur {
 		for i := 0; i < 64; i++ {
-			if err := s.Apply(gen.Next()); err != nil {
+			if err := apply(s, conns, ops, gen.Next()); err != nil {
 				return pt, err
 			}
 			ops++
@@ -229,7 +250,7 @@ const baseNetLatency = 150 * time.Microsecond
 
 func fig5Point(scale Scale, periodMS int, rate float64, dur time.Duration) (Fig5Point, error) {
 	pt := Fig5Point{PeriodMS: periodMS}
-	w, s, gen, _, err := memcachedWorld(scale)
+	w, s, gen, conns, err := memcachedWorld(scale)
 	if err != nil {
 		return pt, err
 	}
@@ -255,7 +276,7 @@ func fig5Point(scale Scale, periodMS int, rate float64, dur time.Duration) (Fig5
 			w.Clk.Advance(next - now)
 		}
 		arrival := next
-		if err := s.Apply(gen.Next()); err != nil {
+		if err := apply(s, conns, int64(len(lats)), gen.Next()); err != nil {
 			return pt, err
 		}
 		if g != nil {

@@ -71,11 +71,14 @@ func objectCosts(setup func(w *World, p *kern.Proc) error) (objCost, error) {
 	if err := g.Attach(p); err != nil {
 		return objCost{}, err
 	}
-	// Warm checkpoint (full image), then measure the steady state.
+	// Warm checkpoint (full image), then measure a steady-state checkpoint
+	// that serializes the object: an incremental one would keep the
+	// unchanged object's previous record, so a full checkpoint — which
+	// rewrites every record — stands in for one where the object is dirty.
 	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
 		return objCost{}, err
 	}
-	st, err := g.Checkpoint(sls.CkptIncremental)
+	st, err := g.Checkpoint(sls.CkptFull)
 	if err != nil {
 		return objCost{}, err
 	}

@@ -3,6 +3,7 @@ package kern
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // ObjKind tags the kind of kernel object behind a descriptor; it doubles as
@@ -55,6 +56,20 @@ const (
 	OAppend
 )
 
+// objGen is a checkpointable object's generation word. Every mutation of
+// state the object's checkpoint record captures bumps it — under the
+// object's lock, or the kernel lock for objects that have none — so the
+// checkpoint can tell an object whose last record is still valid from a
+// dirty one by one load, without re-encoding it. The word is atomic
+// because its readers (the checkpoint, the auditor) do not take the
+// mutating object's lock.
+type objGen struct{ n atomic.Uint64 }
+
+func (g *objGen) bump() { g.n.Add(1) }
+
+// Gen returns the object's current generation.
+func (g *objGen) Gen() uint64 { return g.n.Load() }
+
 // FileImpl is the object behind an open-file description.
 type FileImpl interface {
 	Kind() ObjKind
@@ -69,7 +84,12 @@ type FileImpl interface {
 // File is an open-file description: the object fork and dup share, carrying
 // the offset and flags. Two processes with the same File see each other's
 // offset changes; two Files over the same vnode do not (§5.1's example).
+//
+// Offset and Flags are read freely but written only through the kernel
+// (Lseek, SetFlags, the read/write paths), which keeps the generation in
+// step with them.
 type File struct {
+	objGen
 	mu     sync.Mutex
 	refs   int32
 	Offset int64
@@ -98,6 +118,23 @@ func (f *File) Unref() {
 	if last {
 		f.Impl.CloseLast()
 	}
+}
+
+// setFlags replaces the status flags (fcntl F_SETFL).
+func (f *File) setFlags(flags int) {
+	f.mu.Lock()
+	f.Flags = flags
+	f.bump()
+	f.mu.Unlock()
+}
+
+// setOffset moves the file offset. Callers hold the kernel lock; the
+// description lock orders the offset write with its generation bump.
+func (f *File) setOffset(off int64) {
+	f.mu.Lock()
+	f.Offset = off
+	f.bump()
+	f.mu.Unlock()
 }
 
 // Refs returns the current reference count (diagnostics and checkpointing).
@@ -284,9 +321,22 @@ func (p *Proc) Lseek(fd int, off int64) (int64, error) {
 		if err != nil {
 			return err
 		}
-		f.Offset = off
+		f.setOffset(off)
 		out = off
 		return nil
 	})
 	return out, err
+}
+
+// SetFlags replaces a descriptor's status flags — fcntl(F_SETFL). Every
+// descriptor sharing the description sees the change.
+func (p *Proc) SetFlags(fd int, flags int) error {
+	return p.k.syscall(func() error {
+		f, err := p.FDs.Get(fd)
+		if err != nil {
+			return err
+		}
+		f.setFlags(flags)
+		return nil
+	})
 }

@@ -29,6 +29,7 @@ type Kevent struct {
 
 // Kqueue is the event queue object.
 type Kqueue struct {
+	objGen
 	k      *Kernel
 	events []*Kevent
 }
@@ -43,7 +44,10 @@ func (kf *kqueueFile) Read(f *File, p []byte) (int, error) { return 0, ErrInvali
 func (kf *kqueueFile) Write(f *File, p []byte) (int, error) {
 	return 0, ErrInvalid
 }
-func (kf *kqueueFile) CloseLast() { kf.kq.events = nil }
+func (kf *kqueueFile) CloseLast() {
+	kf.kq.events = nil
+	kf.kq.bump()
+}
 
 // Kqueue creates an event queue descriptor.
 func (p *Proc) Kqueue() (int, error) {
@@ -77,6 +81,31 @@ func (p *Proc) KeventAdd(fd int, ev Kevent) error {
 		}
 		e := ev
 		kq.events = append(kq.events, &e)
+		kq.bump()
+		return nil
+	})
+}
+
+// KeventDelete unregisters every event matching ident and filter
+// (EV_DELETE). Deleting an event that is not registered is an error.
+func (p *Proc) KeventDelete(fd int, ident uint64, filter Filter) error {
+	return p.k.syscall(func() error {
+		kq, err := p.kqOf(fd)
+		if err != nil {
+			return err
+		}
+		kept := kq.events[:0]
+		for _, e := range kq.events {
+			if e.Ident != ident || e.Filter != filter {
+				kept = append(kept, e)
+			}
+		}
+		if len(kept) == len(kq.events) {
+			return ErrInvalid
+		}
+		clear(kq.events[len(kept):])
+		kq.events = kept
+		kq.bump()
 		return nil
 	})
 }

@@ -113,17 +113,23 @@ func (k *Kernel) RestoreSocket(ps RestoreSocketParams) *Socket {
 // EnqueueRestored appends a message to a restored socket's receive queue.
 func (s *Socket) EnqueueRestored(data []byte, from string, files []*File) {
 	s.recvQ = append(s.recvQ, sockMsg{data: data, from: from, files: files})
+	s.bump()
 }
 
 // LinkPeers connects two restored stream sockets.
 func LinkPeers(a, b *Socket) {
 	a.peer = b
 	b.peer = a
+	a.bump()
+	b.bump()
 }
 
 // MarkDisconnected severs a restored socket whose peer was outside the
 // consistency group (the connection does not survive the restore).
-func (s *Socket) MarkDisconnected() { s.closed = true }
+func (s *Socket) MarkDisconnected() {
+	s.closed = true
+	s.bump()
+}
 
 // SocketFile wraps a restored socket in a description.
 func SocketFile(s *Socket, offset int64, flags int) *File {

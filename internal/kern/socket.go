@@ -34,7 +34,12 @@ type ESHook interface {
 }
 
 // Socket is the kernel socket object.
+//
+// The exported fields are read freely but written only through the kernel
+// (bind, connect, send, SetSockOpt, SetESDisabled), which keeps the
+// generation in step with them.
 type Socket struct {
+	objGen
 	k    *Kernel
 	kind ObjKind
 
@@ -76,7 +81,9 @@ func (sf *socketFile) Write(f *File, p []byte) (int, error) {
 func (sf *socketFile) CloseLast() {
 	s := sf.s
 	s.closed = true
+	s.bump()
 	if s.peer != nil {
+		s.peer.bump()
 		s.peer.k.Gate.Broadcast()
 	}
 	if s.Bound {
@@ -144,6 +151,7 @@ func (p *Proc) Bind(fd int, addr string) error {
 		}
 		s.Local = addr
 		s.Bound = true
+		s.bump()
 		return nil
 	})
 }
@@ -159,6 +167,7 @@ func (p *Proc) Listen(fd int) error {
 			return ErrInvalid
 		}
 		s.listening = true
+		s.bump()
 		return nil
 	})
 }
@@ -173,6 +182,7 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		if s.kind == KindSocketUDP {
 			s.Remote = addr // connected UDP: just a default destination
+			s.bump()
 			return nil
 		}
 		l, ok := p.k.bounds[addr]
@@ -190,7 +200,9 @@ func (p *Proc) Connect(fd int, addr string) error {
 		}
 		s.peer = srv
 		s.Remote = addr
+		s.bump()
 		l.acceptQ = append(l.acceptQ, srv)
+		l.bump()
 		p.k.Clk.Advance(p.k.Costs.NetSetupRTT)
 		p.k.Gate.Broadcast()
 		return nil
@@ -219,6 +231,7 @@ func (p *Proc) Accept(fd int) (int, error) {
 		}
 		srv := l.acceptQ[0]
 		l.acceptQ = l.acceptQ[1:]
+		l.bump()
 		nfd = p.FDs.Install(NewFile(&socketFile{s: srv}, ORead|OWrite))
 		return nil
 	})
@@ -258,9 +271,11 @@ func (s *Socket) send(f *File, data []byte, files []*File) (int, error) {
 		return 0, ErrPipeClosed
 	}
 	s.Seq += uint64(len(data))
+	s.bump()
 	k := s.k
 	deliver := func() {
 		dst.recvQ = append(dst.recvQ, msg)
+		dst.bump()
 		// Record/replay tap: external input entering a persistent group
 		// through a bound socket is logged for bounded replay.
 		if k.RecordInput != nil && dst.OwnerGroup != 0 && dst.OwnerGroup != s.OwnerGroup && dst.Bound {
@@ -307,6 +322,7 @@ func (s *Socket) recv(f *File, buf []byte, outFiles *[]*File) (int, error) {
 	} else {
 		s.recvQ = s.recvQ[1:]
 	}
+	s.bump()
 	if outFiles != nil {
 		*outFiles = msg.files
 	}
@@ -403,6 +419,38 @@ func (s *Socket) BufferedBytes() []byte {
 func (k *Kernel) SocketByAddr(addr string) (*Socket, bool) {
 	s, ok := k.bounds[addr]
 	return s, ok
+}
+
+// SetSockOpt replaces a socket's options word — setsockopt.
+func (p *Proc) SetSockOpt(fd int, opts uint32) error {
+	return p.k.syscall(func() error {
+		s, err := p.Sock(fd)
+		if err != nil {
+			return err
+		}
+		s.Options = opts
+		s.bump()
+		return nil
+	})
+}
+
+// Carry accounts one request/response exchange of n bytes on an
+// established connection for a load model that charges the network path
+// itself, folded into its per-op service time: the sequence number
+// advances and the connection's generation moves exactly as after a recv
+// and a send, but no virtual time is charged and no bytes are buffered.
+func (s *Socket) Carry(n int) {
+	s.k.Gate.Enter()
+	s.Seq += uint64(n)
+	s.bump()
+	s.k.Gate.Exit()
+}
+
+// SetESDisabled opts the socket out of (or back into) external synchrony —
+// the kernel half of sls_fdctl.
+func (s *Socket) SetESDisabled(disabled bool) {
+	s.ESDisabled = disabled
+	s.bump()
 }
 
 // Kind returns the socket kind.

@@ -1,6 +1,7 @@
 package objstore
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"time"
@@ -18,6 +19,12 @@ import (
 func (s *Store) PutRecord(oid OID, utype uint16, data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if o, ok := s.objects[oid]; ok && o.journal == nil && o.chunks == nil &&
+		o.utype == utype && len(data) <= InlineMax && bytes.Equal(o.inline, data) {
+		// Byte-identical inline record: the object already holds it, so it
+		// stays clean — no record rewrite at the next commit, no WAL op.
+		return nil
+	}
 	o := s.ensure(oid, utype)
 	if o.journal != nil {
 		return ErrIsJournal
@@ -58,6 +65,48 @@ func (s *Store) GetRecord(oid OID) ([]byte, error) {
 	out := make([]byte, o.size)
 	if err := s.readRangeLocked(o, 0, out); err != nil {
 		return nil, err
+	}
+	return out, nil
+}
+
+// PeekRecord returns oid's content exactly as GetRecord does, but reads
+// spilled blocks through the device's untimed debug port (PeekAt): no
+// virtual time, no traffic counters, no chunk-cache fill. It serves
+// invariant checks that must observe a run without perturbing it (the
+// sls.osclean audit) and never belongs on a simulated IO path.
+func (s *Store) PeekRecord(oid OID) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	o, err := s.lookup(oid)
+	if err != nil {
+		return nil, err
+	}
+	if o.journal != nil {
+		return nil, ErrIsJournal
+	}
+	if o.chunks == nil {
+		return append([]byte(nil), o.inline...), nil
+	}
+	out := make([]byte, o.size)
+	page := make([]byte, BlockSize)
+	for off := int64(0); off < o.size; off += BlockSize {
+		pg := off / BlockSize
+		var addr int64
+		if c := o.chunks[pg/ChunkFanout]; c != nil {
+			if !c.loaded {
+				var cold chunk
+				s.dev.PeekAt(page, c.addr)
+				if err := decodeChunk(&cold, page); err != nil {
+					return nil, fmt.Errorf("oid %d chunk %d at %#x: %w", oid, pg/ChunkFanout, c.addr, err)
+				}
+				c = &cold
+			}
+			addr = c.addrs[pg%ChunkFanout]
+		}
+		if addr != 0 {
+			s.dev.PeekAt(page, addr)
+			copy(out[off:], page)
+		}
 	}
 	return out, nil
 }

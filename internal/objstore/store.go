@@ -90,6 +90,9 @@ type BlockDev interface {
 	WaitUntil(t time.Duration)
 	Flush()
 	Size() int64
+	// PeekAt reads without charging time or counting traffic; only
+	// PeekRecord, an observation path, uses it.
+	PeekAt(p []byte, off int64)
 }
 
 // deadBlock is a block awaiting garbage collection: it was born at (first

@@ -553,3 +553,79 @@ func TestCommittedStateProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPutRecordIdenticalStaysClean: re-putting the byte-identical inline
+// record an object already holds leaves it clean — no record rewrite at the
+// next commit and no op in the next WAL frame — while a changed payload or
+// type still dirties it. The store stays consistent across reopen.
+func TestPutRecordIdenticalStaysClean(t *testing.T) {
+	s, dev, clk := newStore(t)
+	oid := s.NewOID()
+	rec := []byte("socket record")
+	if err := s.PutRecord(oid, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	idle, err := s.Checkpoint() // what an interval with no mutation commits
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(oid, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	same, err := s.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if same.DirtyObjects != idle.DirtyObjects {
+		t.Fatalf("identical re-put committed %d dirty objects, an idle interval %d", same.DirtyObjects, idle.DirtyObjects)
+	}
+
+	empty, err := s.WALCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutRecord(oid, 1, rec); err != nil {
+		t.Fatal(err)
+	}
+	frame, err := s.WALCommit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Bytes != empty.Bytes {
+		t.Fatalf("identical re-put grew the WAL frame: %d bytes, empty frame %d", frame.Bytes, empty.Bytes)
+	}
+	if _, err := s.Fold(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		utype uint16
+		data  []byte
+	}{{1, []byte("socket recorD")}, {2, []byte("socket recorD")}} {
+		if err := s.PutRecord(oid, c.utype, c.data); err != nil {
+			t.Fatal(err)
+		}
+		st, err := s.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DirtyObjects != idle.DirtyObjects+1 {
+			t.Fatalf("changed record (type %d) committed %d dirty objects, want %d", c.utype, st.DirtyObjects, idle.DirtyObjects+1)
+		}
+	}
+
+	s2 := reopen(t, dev, clk)
+	got, err := s2.GetRecord(oid)
+	if err != nil || string(got) != "socket recorD" {
+		t.Fatalf("reopened record = %q, %v", got, err)
+	}
+	if ut, _ := s2.UType(oid); ut != 2 {
+		t.Fatalf("reopened type = %d, want 2", ut)
+	}
+	if rep := s2.Fsck(); !rep.OK() {
+		t.Fatalf("fsck after reopen: %v", rep)
+	}
+}

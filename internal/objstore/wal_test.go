@@ -314,6 +314,9 @@ func TestWALFullFallsBackToFold(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 48<<10) // 48 KiB inline op per frame
 	sawFull := false
 	for i := 0; i < 64; i++ {
+		// Vary the payload: a byte-identical re-put leaves the object clean
+		// and logs nothing.
+		payload[0] = byte(i)
 		if err := s.PutRecord(oid, 1, payload); err != nil {
 			t.Fatal(err)
 		}
@@ -325,6 +328,7 @@ func TestWALFullFallsBackToFold(t *testing.T) {
 			}
 			// The fold absorbed the pending ops and emptied the ring; a
 			// retry now fits.
+			payload[0]++
 			if err := s.PutRecord(oid, 1, payload); err != nil {
 				t.Fatal(err)
 			}

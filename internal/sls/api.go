@@ -135,6 +135,6 @@ func (g *Group) FdCtl(p *kern.Proc, fd int, disableES bool) error {
 	if !ok {
 		return kern.ErrNotSocket
 	}
-	s.ESDisabled = disableES
+	s.SetESDisabled(disableES)
 	return nil
 }

@@ -1,6 +1,7 @@
 package sls
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -24,7 +25,9 @@ import (
 //  3. Collapse the previous interval's fully-flushed system shadows
 //     (Aurora's reversed collapse, bounding chains at length two).
 //  4. Serialize every POSIX object reachable from the group — each into
-//     its own on-disk object, sharing preserved by construction.
+//     its own on-disk object, sharing preserved by construction. Objects
+//     whose generation has not moved since their last record keep it (the
+//     store is copy-on-write, so that record carries into the new epoch).
 //  5. System-shadow all writable memory.
 //  6. Resume the applications. Everything after this overlaps execution.
 //  7. Flush the frozen shadows' pages into their objects' on-disk pages.
@@ -141,7 +144,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	quiesceSpan.End()
 	serSpan := stopSpan.Child("serialize")
 	osSW := clock.StartStopwatch(o.Clk)
-	ser := newSerializer(g)
+	ser := newSerializer(g, kind == CkptFull)
 	procs := g.Procs()
 	var ephemeral []*kern.Proc
 	for _, p := range procs {
@@ -169,9 +172,19 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		o.K.Resume()
 		return st, err
 	}
+	// Forget generations of objects no longer reachable: their store
+	// objects are deleted below (or stay unreferenced until the next
+	// committing checkpoint deletes them), and a record that reappears must
+	// be rewritten.
+	for oid := range g.recorded {
+		if !ser.live[oid] {
+			delete(g.recorded, oid)
+		}
+	}
 	st.OSTime = osSW.Elapsed()
 	st.Objects = ser.count
-	serSpan.End(trace.I("objects", int64(st.Objects)))
+	st.CleanObjects = ser.clean
+	serSpan.End(trace.I("objects", int64(st.Objects)), trace.I("clean_objects", int64(st.CleanObjects)))
 	wbSpan := stopSpan.Child("writeback")
 
 	// 3b. Shared file mappings: the Aurora file system provides COW for
@@ -457,7 +470,9 @@ type serializer struct {
 	g     *Group
 	o     *Orchestrator
 	live  map[objstore.OID]bool
-	count int
+	count int  // objects charged SerializeBase
+	clean int  // tracked objects whose previous record was still valid
+	full  bool // rewrite every record regardless of generation (CkptFull)
 
 	// Deduplication: each kernel object serializes exactly once per
 	// checkpoint regardless of how many references reach it.
@@ -475,10 +490,11 @@ type procRef struct {
 	parentPID kern.PID
 }
 
-func newSerializer(g *Group) *serializer {
+func newSerializer(g *Group, full bool) *serializer {
 	return &serializer{
 		g:         g,
 		o:         g.o,
+		full:      full,
 		live:      make(map[objstore.OID]bool),
 		doneFiles: make(map[*kern.File]objstore.OID),
 		doneImpls: make(map[any]objstore.OID),
@@ -487,12 +503,39 @@ func newSerializer(g *Group) *serializer {
 }
 
 // put stores a sealed record, charging serialization costs.
-func (s *serializer) put(oid objstore.OID, utype uint16, e *rec.Encoder) error {
-	body := e.Seal()
+func (s *serializer) put(oid objstore.OID, utype uint16, body []byte) error {
 	s.o.Clk.Advance(s.o.Costs.SerializeBase + time.Duration(len(body)/8)*s.o.Costs.SerializePerWord)
 	s.live[oid] = true
 	s.count++
 	return s.o.Store.PutRecord(oid, utype, body)
+}
+
+// record persists a dirty-tracked object under oid. When the object's
+// generation still equals the one its last record captured, that record —
+// carried into the new epoch by the copy-on-write store — is still exact:
+// the object costs one cache-line read of its generation and no encode or
+// store write. Callers walk the object's references first, so everything
+// the record names stays live either way.
+func (s *serializer) record(oid objstore.OID, obj tracked) error {
+	gen := obj.Gen()
+	if r, ok := s.g.recorded[oid]; ok && !s.full && r.gen == gen {
+		s.o.Clk.Advance(s.o.Costs.CacheMiss)
+		s.live[oid] = true
+		s.clean++
+		return nil
+	}
+	if kq, ok := obj.(*kern.Kqueue); ok {
+		// Each event structure is locked and copied (Table 4).
+		for range kq.Events() {
+			s.o.Clk.Advance(s.o.Costs.KqueueEvent)
+		}
+	}
+	utype, body := s.g.recordOf(obj)
+	if err := s.put(oid, utype, body); err != nil {
+		return err
+	}
+	s.g.recorded[oid] = recordedGen{obj: obj, gen: gen}
+	return nil
 }
 
 // group emits the group record — processes, ephemeral children, shm
@@ -543,7 +586,7 @@ func (s *serializer) group(ephemeral []*kern.Proc) error {
 		s.live[s.g.journals[jn]] = true
 	}
 
-	if err := s.put(s.g.oid, UTGroup, e); err != nil {
+	if err := s.put(s.g.oid, UTGroup, e.Seal()); err != nil {
 		return err
 	}
 	return s.o.writeManifest()
@@ -680,7 +723,7 @@ func (s *serializer) proc(p *kern.Proc) error {
 		parent = p.Parent().LocalPID
 	}
 	s.procOIDs = append(s.procOIDs, procRef{oid: oid, localPID: p.LocalPID, parentPID: parent})
-	return s.put(oid, UTProc, e)
+	return s.put(oid, UTProc, e.Seal())
 }
 
 // cpuRecord serializes the register file.
@@ -800,24 +843,16 @@ func (s *serializer) file(f *kern.File) (objstore.OID, error) {
 	if oid, ok := s.doneFiles[f]; ok {
 		return oid, nil
 	}
-	implOID, implAux, err := s.impl(f)
-	if err != nil {
+	if err := s.impl(f); err != nil {
 		return 0, err
 	}
 	oid := s.g.oidFor(f)
 	s.doneFiles[f] = oid
-	e := rec.NewEncoder()
-	e.U16(uint16(f.Impl.Kind()))
-	e.I64(f.Offset)
-	e.U32(uint32(f.Flags))
-	e.U64(uint64(implOID))
-	e.U32(implAux)
-	return oid, s.put(oid, UTFileDesc, e)
+	return oid, s.record(oid, f)
 }
 
-// impl serializes the object behind a description, returning its OID and
-// an auxiliary word (pipe end, pty side).
-func (s *serializer) impl(f *kern.File) (objstore.OID, uint32, error) {
+// impl serializes the object behind a description.
+func (s *serializer) impl(f *kern.File) error {
 	if v, ok := kern.VnodeOf(f); ok {
 		// The vnode IS a store object already (the slsfs file). Keep a
 		// hidden reference so unlinking cannot reap it (§5.2). The
@@ -827,44 +862,36 @@ func (s *serializer) impl(f *kern.File) (objstore.OID, uint32, error) {
 			s.o.K.FS.AddHiddenRef(v.OID)
 		}
 		s.live[v.OID] = true
+		s.count++
 		s.o.Clk.Advance(s.o.Costs.SerializeBase) // inode ref, no namei
-		return v.OID, 0, nil
+		return nil
 	}
-	if pipe, writeEnd, ok := kern.PipeInfo(f); ok {
-		oid, err := s.pipe(pipe)
-		aux := uint32(0)
-		if writeEnd {
-			aux = 1
-		}
-		return oid, aux, err
+	if pipe, _, ok := kern.PipeInfo(f); ok {
+		_, err := s.pipe(pipe)
+		return err
 	}
 	if sock, ok := kern.SocketOf(f); ok {
-		oid, err := s.socket(sock)
-		return oid, 0, err
+		_, err := s.socket(sock)
+		return err
 	}
 	if seg, ok := kern.ShmOf(f); ok {
-		oid, err := s.shm(seg)
-		return oid, 0, err
+		_, err := s.shm(seg)
+		return err
 	}
 	if kq, ok := kern.KqueueOf(f); ok {
-		oid, err := s.kqueue(kq)
-		return oid, 0, err
+		_, err := s.kqueue(kq)
+		return err
 	}
-	if pty, master, ok := kern.PTYInfo(f); ok {
-		oid, err := s.pty(pty)
-		aux := uint32(0)
-		if master {
-			aux = 1
-		}
-		return oid, aux, err
+	if pty, _, ok := kern.PTYInfo(f); ok {
+		_, err := s.pty(pty)
+		return err
 	}
 	if name, ok := kern.DeviceNameOf(f); ok {
-		oid := s.g.oidFor(f.Impl)
 		e := rec.NewEncoder()
 		e.Str(name)
-		return oid, 0, s.put(oid, UTDeviceFile, e)
+		return s.put(s.g.oidFor(f.Impl), UTDeviceFile, e.Seal())
 	}
-	return 0, 0, fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
+	return fmt.Errorf("sls: unsupported file kind %v", f.Impl.Kind())
 }
 
 func (s *serializer) pipe(p *kern.Pipe) (objstore.OID, error) {
@@ -873,12 +900,7 @@ func (s *serializer) pipe(p *kern.Pipe) (objstore.OID, error) {
 	}
 	oid := s.g.oidFor(p)
 	s.doneImpls[p] = oid
-	readers, writers := p.PipeRefs()
-	e := rec.NewEncoder()
-	e.Bytes(p.Buffered())
-	e.U32(uint32(readers))
-	e.U32(uint32(writers))
-	return oid, s.put(oid, UTPipe, e)
+	return oid, s.record(oid, p)
 }
 
 func (s *serializer) socket(sk *kern.Socket) (objstore.OID, error) {
@@ -887,45 +909,19 @@ func (s *serializer) socket(sk *kern.Socket) (objstore.OID, error) {
 	}
 	oid := s.g.oidFor(sk)
 	s.doneImpls[sk] = oid
-	e := rec.NewEncoder()
-	e.U16(uint16(sk.Kind()))
-	e.Str(sk.Local)
-	e.Str(sk.Remote)
-	e.Bool(sk.Bound)
-	e.Bool(sk.Listening()) // accept queue deliberately omitted (§5.3)
-	e.U64(sk.Seq)
-	e.U32(sk.Options)
-	e.Bool(sk.ESDisabled)
-
-	// Peer: recorded only when it lives in the same group.
-	peer := sk.Peer()
-	if peer != nil && peer.OwnerGroup == s.g.ID {
-		poid, err := s.socket(peer)
-		if err != nil {
+	// The record names the peer when it lives in the same group, and every
+	// descriptor in flight inside the buffered control messages (§5.3).
+	if peer := sk.Peer(); peer != nil && peer.OwnerGroup == s.g.ID {
+		if _, err := s.socket(peer); err != nil {
 			return 0, err
 		}
-		e.U64(uint64(poid))
-	} else {
-		e.U64(0)
 	}
-
-	// Buffered messages, parsing control messages for in-flight
-	// descriptors (§5.3).
-	msgs := sk.Messages()
-	e.U32(uint32(len(msgs)))
-	for _, m := range msgs {
-		e.Bytes(m.Data)
-		e.Str(m.From)
-		e.U32(uint32(len(m.Files)))
-		for _, inflight := range m.Files {
-			foid, err := s.file(inflight)
-			if err != nil {
-				return 0, err
-			}
-			e.U64(uint64(foid))
+	for _, inflight := range sk.InFlightFiles() {
+		if _, err := s.file(inflight); err != nil {
+			return 0, err
 		}
 	}
-	return oid, s.put(oid, UTSocket, e)
+	return oid, s.record(oid, sk)
 }
 
 func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
@@ -946,7 +942,7 @@ func (s *serializer) shm(seg *kern.ShmSegment) (objstore.OID, error) {
 	e.Bool(seg.SysV)
 	e.U64(uint64(memOID))
 	s.shmOIDs = append(s.shmOIDs, oid)
-	return oid, s.put(oid, UTShm, e)
+	return oid, s.put(oid, UTShm, e.Seal())
 }
 
 func (s *serializer) kqueue(kq *kern.Kqueue) (objstore.OID, error) {
@@ -955,20 +951,7 @@ func (s *serializer) kqueue(kq *kern.Kqueue) (objstore.OID, error) {
 	}
 	oid := s.g.oidFor(kq)
 	s.doneImpls[kq] = oid
-	events := kq.Events()
-	e := rec.NewEncoder()
-	e.U32(uint32(len(events)))
-	for _, ev := range events {
-		// Each event structure is locked and copied (Table 4).
-		s.o.Clk.Advance(s.o.Costs.KqueueEvent)
-		e.U64(ev.Ident)
-		e.U16(uint16(ev.Filter))
-		e.U32(ev.Flags)
-		e.U32(ev.FFlags)
-		e.I64(ev.Data)
-		e.U64(ev.UData)
-	}
-	return oid, s.put(oid, UTKqueue, e)
+	return oid, s.record(oid, kq)
 }
 
 func (s *serializer) pty(pty *kern.PTY) (objstore.OID, error) {
@@ -977,11 +960,158 @@ func (s *serializer) pty(pty *kern.PTY) (objstore.OID, error) {
 	}
 	oid := s.g.oidFor(pty)
 	s.doneImpls[pty] = oid
-	toSlave, toMaster := pty.Buffers()
+	return oid, s.record(oid, pty)
+}
+
+// tracked is a dirty-tracked kernel object: a description, socket, pipe,
+// kqueue, or pty. Its generation moves on every mutation of state its
+// record captures.
+type tracked interface{ Gen() uint64 }
+
+// recordedGen remembers, per OID, the object whose record the store holds
+// and the generation that record captured.
+type recordedGen struct {
+	obj tracked
+	gen uint64
+}
+
+// recordOf encodes the store record of one tracked kernel object. It is
+// the single encoder behind both the checkpoint (objects whose generation
+// moved) and the sls.osclean audit (objects whose generation did not,
+// re-encoded to prove the skipped record is still exact), so it charges
+// nothing and allocates no OID: every object a record names already owns
+// one, because the serializer walks references before recording.
+func (g *Group) recordOf(obj tracked) (uint16, []byte) {
 	e := rec.NewEncoder()
-	e.U32(uint32(pty.Index))
-	e.Bytes(toSlave)
-	e.Bytes(toMaster)
-	e.Bytes(pty.Termios[:])
-	return oid, s.put(oid, UTPTY, e)
+	switch o := obj.(type) {
+	case *kern.File:
+		implOID, aux := g.implRef(o)
+		e.U16(uint16(o.Impl.Kind()))
+		e.I64(o.Offset)
+		e.U32(uint32(o.Flags))
+		e.U64(uint64(implOID))
+		e.U32(aux)
+		return UTFileDesc, e.Seal()
+	case *kern.Pipe:
+		readers, writers := o.PipeRefs()
+		e.Bytes(o.Buffered())
+		e.U32(uint32(readers))
+		e.U32(uint32(writers))
+		return UTPipe, e.Seal()
+	case *kern.Socket:
+		e.U16(uint16(o.Kind()))
+		e.Str(o.Local)
+		e.Str(o.Remote)
+		e.Bool(o.Bound)
+		e.Bool(o.Listening()) // accept queue deliberately omitted (§5.3)
+		e.U64(o.Seq)
+		e.U32(o.Options)
+		e.Bool(o.ESDisabled)
+		// Peer: recorded only when it lives in the same group.
+		if peer := o.Peer(); peer != nil && peer.OwnerGroup == g.ID {
+			e.U64(uint64(g.oidOf[peer]))
+		} else {
+			e.U64(0)
+		}
+		// Buffered messages, with the in-flight descriptors their control
+		// messages carry.
+		msgs := o.Messages()
+		e.U32(uint32(len(msgs)))
+		for _, m := range msgs {
+			e.Bytes(m.Data)
+			e.Str(m.From)
+			e.U32(uint32(len(m.Files)))
+			for _, inflight := range m.Files {
+				e.U64(uint64(g.oidOf[inflight]))
+			}
+		}
+		return UTSocket, e.Seal()
+	case *kern.Kqueue:
+		events := o.Events()
+		e.U32(uint32(len(events)))
+		for _, ev := range events {
+			e.U64(ev.Ident)
+			e.U16(uint16(ev.Filter))
+			e.U32(ev.Flags)
+			e.U32(ev.FFlags)
+			e.I64(ev.Data)
+			e.U64(ev.UData)
+		}
+		return UTKqueue, e.Seal()
+	case *kern.PTY:
+		toSlave, toMaster := o.Buffers()
+		e.U32(uint32(o.Index))
+		e.Bytes(toSlave)
+		e.Bytes(toMaster)
+		e.Bytes(o.Termios[:])
+		return UTPTY, e.Seal()
+	}
+	panic(fmt.Sprintf("sls: %T is not a tracked kernel object", obj))
+}
+
+// AuditCleanRecords checks the dirty-tracking invariant behind the
+// sls.osclean audit rule: every tracked object whose generation still
+// equals the one its last record captured must re-encode to exactly the
+// record the store holds. A mismatch means some mutator changed recorded
+// state without bumping the generation, so checkpoints would keep a stale
+// record. Each mismatch goes to bad; the result counts the records
+// compared. The check holds the kernel lock so no syscall mutates
+// mid-compare, charges no virtual time, and writes nothing.
+func (g *Group) AuditCleanRecords(bad func(oid objstore.OID, detail string)) int {
+	g.o.K.Gate.Enter()
+	defer g.o.K.Gate.Exit()
+	oids := make([]objstore.OID, 0, len(g.recorded))
+	for oid, r := range g.recorded {
+		if r.obj.Gen() == r.gen {
+			oids = append(oids, oid)
+		}
+	}
+	sort.Slice(oids, func(i, j int) bool { return oids[i] < oids[j] })
+	for _, oid := range oids {
+		r := g.recorded[oid]
+		utype, want := g.recordOf(r.obj)
+		have, err := g.o.Store.PeekRecord(oid)
+		stored, uerr := g.o.Store.UType(oid)
+		switch {
+		case err != nil:
+			bad(oid, fmt.Sprintf("clean %T has no readable record: %v", r.obj, err))
+		case uerr != nil || stored != utype:
+			bad(oid, fmt.Sprintf("clean %T stored as type %#x, encodes as %#x", r.obj, stored, utype))
+		case !bytes.Equal(have, want):
+			bad(oid, fmt.Sprintf("clean %T (generation %d) re-encodes to %d bytes that differ from its %d-byte stored record: a mutation skipped its generation bump",
+				r.obj, r.gen, len(want), len(have)))
+		}
+	}
+	return len(oids)
+}
+
+// implRef resolves the object behind a description to its OID and the
+// auxiliary word its record carries (pipe end, pty side).
+func (g *Group) implRef(f *kern.File) (objstore.OID, uint32) {
+	if v, ok := kern.VnodeOf(f); ok {
+		return v.OID, 0
+	}
+	if pipe, writeEnd, ok := kern.PipeInfo(f); ok {
+		return g.oidOf[pipe], boolWord(writeEnd)
+	}
+	if sock, ok := kern.SocketOf(f); ok {
+		return g.oidOf[sock], 0
+	}
+	if seg, ok := kern.ShmOf(f); ok {
+		return g.oidOf[seg], 0
+	}
+	if kq, ok := kern.KqueueOf(f); ok {
+		return g.oidOf[kq], 0
+	}
+	if pty, master, ok := kern.PTYInfo(f); ok {
+		return g.oidOf[pty], boolWord(master)
+	}
+	return g.oidOf[f.Impl], 0 // device
+}
+
+func boolWord(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -201,7 +201,9 @@ func TestRestoredDeviceAndFlags(t *testing.T) {
 	g.Attach(p)
 	dfd, _ := p.OpenDevice(kern.DevNull)
 	f, _ := p.FDs.Get(dfd)
-	f.Flags |= kern.ONonblock
+	if err := p.SetFlags(dfd, f.Flags|kern.ONonblock); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := p.MapDevice(kern.DevHPET); err != nil {
 		t.Fatal(err)
 	}

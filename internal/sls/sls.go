@@ -102,8 +102,12 @@ type CheckpointStats struct {
 	MemTime    time.Duration // portion spent shadowing / marking COW
 	FlushBytes int64         // data submitted to storage, summed over workers
 	DurableAt  time.Duration // virtual time the checkpoint persists
-	Objects    int           // POSIX objects serialized
+	Objects    int           // objects serialized, each charged SerializeBase
 	DirtyPages int64         // pages captured in the frozen shadows
+	// CleanObjects counts tracked kernel objects (descriptions, sockets,
+	// pipes, kqueues, ptys) whose record was kept, not rewritten, because
+	// their generation had not moved since it was written.
+	CleanObjects int
 
 	// Flush pipeline observability (see internal/sls/flush.go).
 	EncodeTime    time.Duration // host time staging pages, summed over workers
@@ -218,6 +222,12 @@ type Group struct {
 	// prevLive holds the OIDs serialized by the previous checkpoint so
 	// vanished objects can be deleted from the store.
 	prevLive map[objstore.OID]bool
+	// recorded is the dirty-tracking memory: per OID, the tracked kernel
+	// object whose record the store holds and the generation that record
+	// captured. It covers only records this group wrote, so restored,
+	// received, and rolled-back groups start empty and rewrite everything
+	// once. Pruned to the live set at every checkpoint.
+	recorded map[objstore.OID]recordedGen
 
 	// Memory bookkeeping. transient marks system shadows that will be
 	// merged down; persistent objects own a store OID and a flushed flag.
@@ -319,6 +329,7 @@ func (o *Orchestrator) CreateGroup(name string) *Group {
 		oid:          o.Store.NewOID(),
 		oidOf:        make(map[any]objstore.OID),
 		prevLive:     make(map[objstore.OID]bool),
+		recorded:     make(map[objstore.OID]recordedGen),
 		transient:    make(map[*vm.Object]bool),
 		flushed:      make(map[objstore.OID]bool),
 		trappedDone:  make(map[*vm.Object]bool),
