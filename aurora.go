@@ -65,7 +65,7 @@ type (
 	RestoreStats = sls.RestoreStats
 	// Journal is an sls_journal write-ahead log.
 	Journal = objstore.Journal
-	// Tracer records virtual-time spans, counters, and histograms.
+	// Tracer records virtual-time spans and instants.
 	Tracer = trace.Tracer
 	// Replica is a warm standby of a group on another machine.
 	Replica = sls.Replica
@@ -148,15 +148,16 @@ type Config struct {
 	StripeUnit int64
 	// Costs overrides the calibrated cost model; nil uses DefaultCosts.
 	Costs *clock.Costs
-	// Trace enables the virtual-clock tracer, wired through the devices,
-	// the store, and the SLS orchestrator. Off by default: the disabled
-	// path costs one nil check per hook site.
+	// Trace enables the virtual-clock tracer (spans and instants), wired
+	// through the devices, the store, and the SLS orchestrator. Off by
+	// default: the disabled path costs one nil check per hook site.
 	Trace bool
-	// Telemetry enables the typed metrics registry (internal/telemetry):
-	// stop time, durable/WAL windows, restore time-to-first-op, and
-	// replication lag recorded at the source, sampled into time series,
-	// and aggregated fleet-wide. Off by default, same cost contract as
-	// Trace.
+	// Telemetry enables the typed metrics registry (internal/telemetry),
+	// the machine's only metric store: device, store, sls, net, and audit
+	// counters and histograms — stop time, durable/WAL windows, restore
+	// time-to-first-op, replication lag — recorded at the source, sampled
+	// into time series, and aggregated fleet-wide. Off by default, same
+	// cost contract as Trace.
 	Telemetry bool
 	// Net, when non-nil, routes ReplicateTo and MigrateTo over a simulated
 	// lossy network instead of the direct in-process copy. Each call builds
@@ -277,7 +278,7 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	if reg == nil && cfg.Telemetry {
 		reg = telemetry.New(clk)
 	}
-	disk.SetTracer(tr)
+	disk.Instrument(tr, reg)
 	// The flight ring is volatile state: a boot (or reboot) starts a fresh
 	// one. The pre-crash tail survives separately, as the object the store
 	// persisted on the last completed checkpoint — see RecoveredFlight.
@@ -317,7 +318,7 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 	if err != nil {
 		return nil, err
 	}
-	store.SetTracer(tr)
+	store.Instrument(tr, reg)
 	store.SetFlight(fl)
 	vmsys := vm.NewSystem(mem.New(cfg.MemoryBytes), clk, costs)
 	k := kern.New(clk, costs, vmsys, fs)
@@ -335,8 +336,7 @@ func build(cfg Config, disk *device.Stripe, clk *clock.Virtual, format bool, tr 
 		Metrics: reg,
 		cfg:     cfg,
 	}
-	m.SLS.Tracer = tr
-	m.SLS.Metrics = reg
+	m.SLS.Instrument(tr, reg)
 	m.Net = cfg.Net
 	return m, nil
 }
@@ -353,13 +353,13 @@ func (m *Machine) RecoveredFlight() (evs []FlightEvent, seq uint64, ok bool, err
 // Audit runs the invariant watchdog once over the live machine — VM shadow
 // chains and page tables, kernel descriptor tables, the store's allocation
 // maps, group and replication epochs — and returns the report. Violations
-// are also recorded as flight events and trace counters. The auditor keeps
+// are also recorded as flight events and registry counters. The auditor keeps
 // memory between calls (epoch monotonicity is a between-passes invariant).
 func (m *Machine) Audit() AuditReport {
 	if m.auditor == nil {
 		m.auditor = &audit.Auditor{
 			Store: m.Store, K: m.K, O: m.SLS,
-			Fl: m.Flight, Tr: m.Tracer, Clk: m.Clock,
+			Fl: m.Flight, Clk: m.Clock,
 			Reg: m.Metrics, SLO: m.slo,
 		}
 	}
@@ -390,7 +390,8 @@ func (m *Machine) NewConn(nc *NetConfig) *NetConn {
 		params = net.DefaultParams()
 	}
 	pipe := net.NewPipe(m.Clock, params, nc.Fwd, nc.Rev)
-	conn := net.NewConn(pipe, m.Clock, nc.Conn, m.Tracer)
+	conn := net.NewConn(pipe, m.Clock, nc.Conn)
+	conn.Instrument(m.Tracer, m.Metrics)
 	conn.SetFlight(m.Flight)
 	if m.cfg.Name != "" {
 		conn.SetSource(telemetry.MachineID(m.cfg.Name))

@@ -609,7 +609,8 @@ func cmdFlight(img string, args []string) error {
 // cmdTrace runs a self-contained demo scenario on a fresh traced machine —
 // attach, periodic checkpoints, power loss, lazy restore, continue — and
 // exports the virtual timeline as a Chrome trace-event file (load it in
-// ui.perfetto.dev or chrome://tracing) plus a text rollup on stdout. The
+// ui.perfetto.dev or chrome://tracing) plus a text rollup on stdout: span
+// time per track, then the registry's counters and histograms. The
 // machine image is not touched; the scenario is its own world.
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
@@ -618,7 +619,7 @@ func cmdTrace(args []string) error {
 	out := fs.String("o", "trace.json", "Chrome trace-event output file")
 	fs.Parse(args)
 
-	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true})
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true, Telemetry: true})
 	if err != nil {
 		return err
 	}
@@ -639,7 +640,7 @@ func cmdTrace(args []string) error {
 	if err := g.Barrier(); err != nil {
 		return err
 	}
-	m2, err := m.Crash() // the tracer rides across the reboot
+	m2, err := m.Crash() // the tracer and registry ride across the reboot
 	if err != nil {
 		return err
 	}
@@ -661,6 +662,7 @@ func cmdTrace(args []string) error {
 		return err
 	}
 	fmt.Print(m2.Tracer.Rollup())
+	fmt.Print(m2.Metrics.Rollup())
 	fmt.Printf("counter ended at %d; trace written to %s\n", v, *out)
 	return nil
 }

@@ -228,13 +228,14 @@ func runScenarios(path string, stretch int64) error {
 // rounds, a power loss, and a lazy restore that pages the working set back
 // in — enough activity that the exported timeline has spans on every track
 // (sls, flush, objstore, device) — then writes the Chrome trace to path and
-// prints the rollup.
+// prints the rollup: span time per track, then the registry's counters and
+// histograms.
 func runTrace(path string, scale experiments.Scale, inspect bool) error {
 	pages := int64(256)
 	if scale == experiments.Quick {
 		pages = 64
 	}
-	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true})
+	m, err := aurora.NewMachine(aurora.Config{StorageBytes: 1 << 30, Trace: true, Telemetry: true})
 	if err != nil {
 		return err
 	}
@@ -262,7 +263,7 @@ func runTrace(path string, scale experiments.Scale, inspect bool) error {
 	if err := g.Barrier(); err != nil {
 		return err
 	}
-	m2, err := m.Crash() // the tracer rides across the reboot
+	m2, err := m.Crash() // the tracer and registry ride across the reboot
 	if err != nil {
 		return err
 	}
@@ -287,6 +288,7 @@ func runTrace(path string, scale experiments.Scale, inspect bool) error {
 			return err
 		}
 		fmt.Print(m2.Tracer.Rollup())
+		fmt.Print(m2.Metrics.Rollup())
 		fmt.Printf("[trace written to %s]\n\n", path)
 	}
 	if inspect {

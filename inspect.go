@@ -24,7 +24,7 @@ type InspectReport struct {
 	// Recovered is the pre-crash timeline persisted by the previous
 	// incarnation of this machine, when one exists.
 	Recovered []FlightEntry  `json:"recovered,omitempty"`
-	Counters  []CounterEntry `json:"counters,omitempty"` // trace counters, sorted
+	Counters  []CounterEntry `json:"counters,omitempty"` // registry counters, registration order
 	Audit     AuditReport    `json:"audit"`
 }
 
@@ -76,7 +76,7 @@ type FlightEntry struct {
 	Detail string `json:"detail,omitempty"`
 }
 
-// CounterEntry is one trace counter total.
+// CounterEntry is one registry counter total.
 type CounterEntry struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
@@ -146,10 +146,8 @@ func (m *Machine) Inspect(tailN int) InspectReport {
 			r.Recovered = append(r.Recovered, flightEntry(ev))
 		}
 	}
-	if m.Tracer != nil {
-		for _, c := range m.Tracer.Counters() {
-			r.Counters = append(r.Counters, CounterEntry{Name: c.Name, Value: c.Total})
-		}
+	for _, c := range m.Metrics.Snapshot("").Counters {
+		r.Counters = append(r.Counters, CounterEntry(c))
 	}
 
 	r.Audit = m.Audit()

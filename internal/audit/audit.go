@@ -20,7 +20,6 @@ import (
 	"aurora/internal/objstore"
 	"aurora/internal/sls"
 	"aurora/internal/telemetry"
-	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
 
@@ -67,12 +66,12 @@ type Auditor struct {
 	K     *kern.Kernel
 	O     *sls.Orchestrator
 	Fl    *flight.Recorder // violations become EvAuditViolation events
-	Tr    *trace.Tracer    // audit.runs / audit.violations counters
 	Clk   clock.Clock
 
-	// Telemetry cross-checks (the sls.slo family): when a machine runs an
-	// SLO watch, its breach log, the registry's slo.breaches counter, and
-	// the breaches themselves must agree. Both optional.
+	// Reg receives the audit.runs / audit.violations counters. It also
+	// feeds the telemetry cross-checks (the sls.slo family): when a machine
+	// runs an SLO watch, its breach log, the registry's slo.breaches
+	// counter, and the breaches themselves must agree. Both optional.
 	Reg *telemetry.Registry
 	SLO *telemetry.Watch
 
@@ -112,12 +111,8 @@ func (a *Auditor) Run() Report {
 		a.auditSLO(&r, add)
 	}
 
-	if a.Tr != nil {
-		a.Tr.Count("audit.runs", 1)
-		if n := int64(len(r.Violations)); n > 0 {
-			a.Tr.Count("audit.violations", n)
-		}
-	}
+	a.Reg.Counter("audit.runs").Add(1)
+	a.Reg.Counter("audit.violations").Add(int64(len(r.Violations)))
 	if a.Fl != nil {
 		for _, v := range r.Violations {
 			a.Fl.Record(r.At, flight.EvAuditViolation, 0, 0, 0, v.String())

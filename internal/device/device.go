@@ -17,6 +17,7 @@ import (
 
 	"aurora/internal/clock"
 	"aurora/internal/flight"
+	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 )
 
@@ -37,9 +38,9 @@ type Stats struct {
 
 // Device is one simulated NVMe namespace.
 type Device struct {
+	instruments
 	clk   clock.Clock
 	costs *clock.Costs
-	tr    *trace.Tracer
 	fl    *flight.Recorder
 
 	mu       sync.Mutex
@@ -67,10 +68,6 @@ func (d *Device) Stats() Stats {
 	return d.stats
 }
 
-// SetTracer attaches tr to the device; nil disables tracing. Wire it at
-// build time — it is not synchronized against in-flight IO.
-func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
-
 // SetFlight attaches the flight recorder; nil disables it. Only ordered
 // submissions (SubmitWriteAfter with a real barrier) are recorded: those
 // are the commit points — superblock writes — and they arrive from the
@@ -79,21 +76,47 @@ func (d *Device) SetTracer(tr *trace.Tracer) { d.tr = tr }
 // interleave nondeterministically.
 func (d *Device) SetFlight(fl *flight.Recorder) { d.fl = fl }
 
-// traceSubmit records one queued command on the device track. now is the
-// submitting thread's virtual time, start/done come from the queue model,
-// and stall is extra delay imposed by an ordering constraint. qwait doubles
-// as the queue-depth signal: in the continuous queue model the backlog is
+// instruments is what a Device or Stripe reports to: the tracer (one
+// span per submit on the device track) and the metrics registry.
+type instruments struct {
+	tr  *trace.Tracer
+	reg *telemetry.Registry
+}
+
+// Instrument attaches a tracer and a metrics registry; either may be nil.
+// Wire it at build time — it is not synchronized against in-flight IO. A
+// stripe records its member submits itself, with their member offsets.
+func (in *instruments) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
+	in.tr, in.reg = tr, reg
+	reg.Register(telemetry.Family{
+		Counters:   []string{"dev.submits", "dev.bytes", "dev.order_stalls"},
+		Histograms: []string{"dev.qwait_ns", "dev.settle_ns", "dev.order_stall_ns"},
+	})
+}
+
+func (in *instruments) on() bool { return in.tr != nil || in.reg != nil }
+
+// submit records one queued command. now is the submitting thread's
+// virtual time, start/done come from the queue model, and stall is extra
+// delay imposed by an ordering constraint. qwait doubles as the
+// queue-depth signal: in the continuous queue model the backlog is
 // measured in time, not slots.
-func traceSubmit(tr *trace.Tracer, name string, now, start, done, stall time.Duration, n, off int64) {
-	tr.Range(trace.TrackDevice, name, start, done,
-		trace.I("bytes", n), trace.I("off", off))
-	tr.Observe("dev.qwait_ns", int64(start-now))
-	tr.Observe("dev.settle_ns", int64(done-now))
-	tr.Count("dev.submits", 1)
-	tr.Count("dev.bytes", n)
+func (in *instruments) submit(name string, now, start, done, stall time.Duration, n, off int64) {
+	if in.tr != nil {
+		in.tr.Range(trace.TrackDevice, name, start, done,
+			trace.I("bytes", n), trace.I("off", off))
+	}
+	reg := in.reg
+	if reg == nil {
+		return
+	}
+	reg.Observe("dev.qwait_ns", int64(start-now))
+	reg.Observe("dev.settle_ns", int64(done-now))
+	reg.Counter("dev.submits").Add(1)
+	reg.Counter("dev.bytes").Add(n)
 	if stall > 0 {
-		tr.Observe("dev.order_stall_ns", int64(stall))
-		tr.Count("dev.order_stalls", 1)
+		reg.Observe("dev.order_stall_ns", int64(stall))
+		reg.Counter("dev.order_stalls").Add(1)
 	}
 }
 
@@ -159,8 +182,8 @@ func (d *Device) SubmitWrite(p []byte, off int64) (time.Duration, error) {
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.write", now, start, done, 0, int64(len(p)), off)
+	if d.on() {
+		d.submit("dev.write", now, start, done, 0, int64(len(p)), off)
 	}
 	d.mu.Unlock()
 	return done, nil
@@ -194,8 +217,8 @@ func (d *Device) SubmitWriteAfter(p []byte, off int64, after time.Duration) (tim
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.write_after", now, start, done, stall, int64(len(p)), off)
+	if d.on() {
+		d.submit("dev.write_after", now, start, done, stall, int64(len(p)), off)
 	}
 	d.mu.Unlock()
 	if after > 0 {
@@ -246,8 +269,8 @@ func (d *Device) SubmitWritev(bufs [][]byte, off int64) (time.Duration, error) {
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.writev", now, start, done, 0, total, off)
+	if d.on() {
+		d.submit("dev.writev", now, start, done, 0, total, off)
 	}
 	d.mu.Unlock()
 	return done, nil
@@ -293,8 +316,8 @@ func (d *Device) SubmitWritevAfter(bufs [][]byte, off int64, after time.Duration
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + d.costs.DevWriteLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.writev_after", now, start, done, stall, total, off)
+	if d.on() {
+		d.submit("dev.writev_after", now, start, done, stall, total, off)
 	}
 	d.mu.Unlock()
 	if after > 0 {
@@ -322,8 +345,8 @@ func (d *Device) SubmitRead(p []byte, off int64) (time.Duration, error) {
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + d.costs.DevReadLatency
-	if d.tr != nil {
-		traceSubmit(d.tr, "dev.read", now, start, done, 0, int64(len(p)), off)
+	if d.on() {
+		d.submit("dev.read", now, start, done, 0, int64(len(p)), off)
 	}
 	d.mu.Unlock()
 	return done, nil
@@ -418,17 +441,13 @@ func (d *Device) copyOut(p []byte, off int64) {
 // the member transfers proceed in parallel: a synchronous operation charges
 // the maximum member time, not the sum.
 type Stripe struct {
+	instruments
 	clk   clock.Clock
 	costs *clock.Costs
-	tr    *trace.Tracer
 	fl    *flight.Recorder
 	devs  []*Device
 	unit  int64
 }
-
-// SetTracer attaches tr to the stripe; nil disables tracing. Member-device
-// submits issued through the stripe are recorded with their member index.
-func (s *Stripe) SetTracer(tr *trace.Tracer) { s.tr = tr }
 
 // SetFlight attaches the flight recorder; nil disables it. Like
 // Device.SetFlight, only ordered (barrier) submissions are recorded, one
@@ -579,12 +598,12 @@ func (s *Stripe) submitMemberAfter(e extent, after time.Duration) (time.Duration
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + s.costs.DevWriteLatency
-	if s.tr != nil {
+	if s.on() {
 		name := "dev.write"
 		if after > 0 {
 			name = "dev.write_after"
 		}
-		traceSubmit(s.tr, name, now, start, done, stall, e.size, e.off)
+		s.submit(name, now, start, done, stall, e.size, e.off)
 	}
 	return done, nil
 }
@@ -717,12 +736,12 @@ func (s *Stripe) submitMemberVec(dev int, vec [][]byte, off, size int64, after t
 	}
 	d.nextFree = start + occupancy
 	done := d.nextFree + s.costs.DevWriteLatency
-	if s.tr != nil {
+	if s.on() {
 		name := "dev.writev"
 		if after > 0 {
 			name = "dev.writev_after"
 		}
-		traceSubmit(s.tr, name, now, start, done, stall, size, off)
+		s.submit(name, now, start, done, stall, size, off)
 	}
 	return done, nil
 }
@@ -751,8 +770,8 @@ func (s *Stripe) SubmitRead(p []byte, off int64) (time.Duration, error) {
 		}
 		d.nextFree = start + occupancy
 		t := d.nextFree + s.costs.DevReadLatency
-		if s.tr != nil {
-			traceSubmit(s.tr, "dev.read", now, start, t, 0, e.size, e.off)
+		if s.on() {
+			s.submit("dev.read", now, start, t, 0, e.size, e.off)
 		}
 		d.mu.Unlock()
 		if t > done {

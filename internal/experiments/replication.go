@@ -117,7 +117,7 @@ func replicationRun(c replConfigCase, pages int64, syncs int) (ReplRow, error) {
 		}
 		// 8 KiB frames keep the per-sync transmission count high enough
 		// that low loss rates are visible even at Quick scale.
-		conn = net.NewConn(net.NewPipe(src.Clk, net.DefaultParams(), fwd, c.rev), src.Clk, net.Config{FrameData: 8 << 10}, nil)
+		conn = net.NewConn(net.NewPipe(src.Clk, net.DefaultParams(), fwd, c.rev), src.Clk, net.Config{FrameData: 8 << 10})
 	}
 	rep, err := g.ReplicateToVia(dst.O, conn)
 	if err != nil {

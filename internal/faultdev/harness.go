@@ -180,14 +180,14 @@ func (h *Harness) newRun(plan Plan, traced bool) (*Ctl, error) {
 	var tr *trace.Tracer
 	if traced {
 		tr = trace.New(clk)
-		stripe.SetTracer(tr)
+		stripe.Instrument(tr, nil)
 		fd.SetTracer(tr)
 	}
 	s, err := objstore.Format(fd, clk, costs)
 	if err != nil {
 		return nil, fmt.Errorf("format: %w", err)
 	}
-	s.SetTracer(tr)
+	s.Instrument(tr, nil)
 	// Every run carries a flight recorder: the stripe logs barrier writes,
 	// the fault device logs cuts/tears/rollbacks, and the store persists
 	// the ring into FlightOID on each commit — so every recovered image
@@ -304,7 +304,7 @@ func (h *Harness) replayAttempt(points []commitPoint, k int64, traced bool) erro
 	if err != nil {
 		return fail("recovery failed: %v", err)
 	}
-	s2.SetTracer(ctl.Tr)
+	s2.Instrument(ctl.Tr, nil)
 	if rep := s2.Fsck(); !rep.OK() {
 		return fail("fsck found %d problems after recovery: %v", len(rep.Problems), rep.Problems)
 	}

@@ -49,7 +49,8 @@ func TestSessionContextCapture(t *testing.T) {
 	// Traced conn: the transfer span id lands in the session and the
 	// completed span carries the matching flow_out annotation.
 	tr := trace.New(clk)
-	c2 := NewConn(NewPipe(clk, DefaultParams(), Plan{}, Plan{}), clk, Config{FrameData: 64}, tr)
+	c2 := NewConn(NewPipe(clk, DefaultParams(), Plan{}, Plan{}), clk, Config{FrameData: 64})
+	c2.Instrument(tr, nil)
 	c2.SetSource(src)
 	if _, err := c2.Transfer(5, testPayload(200)); err != nil {
 		t.Fatal(err)

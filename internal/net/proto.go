@@ -216,6 +216,7 @@ type Conn struct {
 	clk   clock.Clock
 	cfg   Config
 	tr    *trace.Tracer
+	reg   *telemetry.Registry
 	fl    *flight.Recorder
 	src   uint64 // trace-context source id stamped on outgoing frames
 	sess  map[uint64]*session
@@ -232,17 +233,26 @@ func (c *Conn) SetSource(id uint64) { c.src = id }
 // the ring under retransmit noise.
 func (c *Conn) SetFlight(fl *flight.Recorder) { c.fl = fl }
 
-// NewConn builds a connection over pipe. cfg zero-values select defaults;
-// tr may be nil.
-func NewConn(pipe *Pipe, clk clock.Clock, cfg Config, tr *trace.Tracer) *Conn {
-	pipe.SetTracer(tr)
+// NewConn builds a connection over pipe. cfg zero-values select defaults.
+func NewConn(pipe *Pipe, clk clock.Clock, cfg Config) *Conn {
 	return &Conn{
 		pipe: pipe,
 		clk:  clk,
 		cfg:  cfg.withDefaults(pipe.Fwd.params),
-		tr:   tr,
 		sess: make(map[uint64]*session),
 	}
+}
+
+// Instrument attaches a tracer (to the connection and both directions of
+// its wire) and a metrics registry; either may be nil.
+func (c *Conn) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
+	c.pipe.SetTracer(tr)
+	c.tr, c.reg = tr, reg
+	reg.Register(telemetry.Family{
+		Counters: []string{"net.transfers", "net.connects", "net.resumes", "net.backoffs",
+			"net.frames.sent", "net.frames.retx", "net.frames.dup-discard", "net.frames.corrupt"},
+		Histograms: []string{"net.transfer.ns"},
+	})
 }
 
 // Stats returns a copy of the connection's counters.
@@ -315,10 +325,8 @@ func (c *Conn) pump(epoch uint64) pumpResult {
 		f, err := DecodeFrame(raw)
 		if err != nil {
 			c.stats.CorruptDrops++
-			if c.tr != nil {
-				c.tr.Instant(trace.TrackNet, "net.frame.corrupt-drop")
-				c.tr.Count("net.frames.corrupt", 1)
-			}
+			c.tr.Instant(trace.TrackNet, "net.frame.corrupt-drop")
+			c.reg.Counter("net.frames.corrupt").Add(1)
 			continue
 		}
 		switch f.Type {
@@ -400,9 +408,7 @@ func (c *Conn) handleData(f *Frame) {
 	switch {
 	case s.complete || f.Seq < s.next:
 		c.stats.DupDiscards++
-		if c.tr != nil {
-			c.tr.Count("net.frames.dup-discard", 1)
-		}
+		c.reg.Counter("net.frames.dup-discard").Add(1)
 	case f.Seq > s.next:
 		c.stats.OOODiscards++
 	default:
@@ -419,7 +425,7 @@ func (c *Conn) handleData(f *Frame) {
 // capped backoff. It returns the receiver's next expected frame — the
 // resume point.
 func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, error) {
-	span := traceChildless(c.tr, "net.connect", trace.I("epoch", int64(epoch)))
+	span := c.tr.Begin(trace.TrackNet, "net.connect")
 	rto := c.cfg.RTO
 	for attempt := 0; ; attempt++ {
 		hello := EncodeFrameCtx(FrameHello, epoch, 0, total, c.src, spanID, nil)
@@ -428,14 +434,12 @@ func (c *Conn) connect(epoch, total, spanID uint64, st *TransferStats) (uint64, 
 		res := c.pump(epoch)
 		if res.haveHello {
 			c.stats.Connects++
-			if c.tr != nil {
-				c.tr.Count("net.connects", 1)
-			}
-			span.End(trace.I("resume-seq", int64(res.helloNext)))
+			c.reg.Counter("net.connects").Add(1)
+			span.End(trace.I("epoch", int64(epoch)), trace.I("resume-seq", int64(res.helloNext)))
 			return res.helloNext, nil
 		}
 		if attempt >= c.cfg.MaxRetries {
-			span.End(trace.S("err", "retries exhausted"))
+			span.End(trace.I("epoch", int64(epoch)), trace.S("err", "retries exhausted"))
 			return 0, fmt.Errorf("%w: epoch %d: no hello-ack after %d attempts", ErrRetriesExhausted, epoch, attempt+1)
 		}
 		c.backoff(&rto, st)
@@ -447,22 +451,14 @@ func (c *Conn) backoff(rto *time.Duration, st *TransferStats) {
 	c.stats.Backoffs++
 	if c.tr != nil {
 		c.tr.Instant(trace.TrackNet, "net.backoff", trace.D("rto", *rto))
-		c.tr.Count("net.backoffs", 1)
 	}
+	c.reg.Counter("net.backoffs").Add(1)
 	c.clk.Advance(*rto)
 	if next := *rto * 2; next < c.cfg.RTOCap {
 		*rto = next
 	} else {
 		*rto = c.cfg.RTOCap
 	}
-}
-
-// traceChildless opens a root span when tracing, else an inert one.
-func traceChildless(tr *trace.Tracer, name string, args ...trace.Arg) trace.Span {
-	if tr == nil {
-		return trace.Span{}
-	}
-	return tr.Begin(trace.TrackNet, name, args...)
 }
 
 // Transfer ships payload to the receiver side under the given epoch key and
@@ -475,19 +471,21 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 	sw := clock.StartStopwatch(c.clk)
 	total := uint64((len(payload) + c.cfg.FrameData - 1) / c.cfg.FrameData)
 	st.Frames = total
-	span := traceChildless(c.tr, "net.transfer",
-		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(len(payload))), trace.I("frames", int64(total)))
+	span := c.tr.Begin(trace.TrackNet, "net.transfer")
+	endArgs := []trace.Arg{
+		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(len(payload))), trace.I("frames", int64(total)),
+	}
 
 	base, err := c.connect(epoch, total, span.ID(), &st)
 	if err != nil {
-		span.End(trace.S("err", err.Error()))
+		span.End(append(endArgs, trace.S("err", err.Error()))...)
 		return st, err
 	}
 	if base > total {
 		// A session from a different (longer) payload under this epoch key;
 		// the Hello reset path replaces it, so this is unreachable unless
 		// the caller broke the epoch contract mid-flight.
-		span.End(trace.S("err", "resume past end"))
+		span.End(append(endArgs, trace.S("err", "resume past end"))...)
 		return st, fmt.Errorf("%w: epoch %d: receiver ahead of payload (%d > %d frames)", ErrFrame, epoch, base, total)
 	}
 	st.ResumedFrom = base
@@ -496,8 +494,8 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		if c.tr != nil {
 			c.tr.Instant(trace.TrackNet, "net.resume",
 				trace.I("epoch", int64(epoch)), trace.I("from", int64(base)), trace.I("total", int64(total)))
-			c.tr.Count("net.resumes", 1)
 		}
+		c.reg.Counter("net.resumes").Add(1)
 		c.fl.Record(int64(c.clk.Now()), flight.EvNetResume, int64(epoch), int64(base), int64(total), "")
 	}
 
@@ -518,17 +516,15 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 				c.stats.Retransmits++
 				if c.tr != nil {
 					c.tr.Instant(trace.TrackNet, "net.retx", trace.I("seq", int64(sent)))
-					c.tr.Count("net.frames.retx", 1)
 				}
+				c.reg.Counter("net.frames.retx").Add(1)
 			} else {
 				high = sent + 1
 			}
 			st.FramesSent++
 			c.stats.FramesSent++
 			st.WireBytes += int64(len(frame))
-			if c.tr != nil {
-				c.tr.Count("net.frames.sent", 1)
-			}
+			c.reg.Counter("net.frames.sent").Add(1)
 			c.pipe.Fwd.Send(frame)
 			sent++
 		}
@@ -544,7 +540,7 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 		}
 		misses++
 		if misses > c.cfg.MaxRetries {
-			span.End(trace.S("err", "retries exhausted"), trace.I("acked", int64(base)))
+			span.End(append(endArgs, trace.S("err", "retries exhausted"), trace.I("acked", int64(base)))...)
 			return st, fmt.Errorf("%w: epoch %d: %d/%d frames acked, %d silent rounds",
 				ErrRetriesExhausted, epoch, base, total, misses)
 		}
@@ -554,13 +550,10 @@ func (c *Conn) Transfer(epoch uint64, payload []byte) (TransferStats, error) {
 
 	st.Elapsed = sw.Elapsed()
 	c.stats.Transfers++
-	if c.tr != nil {
-		c.tr.Count("net.transfers", 1)
-		c.tr.Observe("net.transfer.ns", int64(st.Elapsed))
-	}
-	endArgs := []trace.Arg{
-		trace.I("sent", st.FramesSent), trace.I("retx", st.Retransmits), trace.I("backoffs", st.Backoffs),
-	}
+	c.reg.Counter("net.transfers").Add(1)
+	c.reg.Observe("net.transfer.ns", int64(st.Elapsed))
+	endArgs = append(endArgs,
+		trace.I("sent", st.FramesSent), trace.I("retx", st.Retransmits), trace.I("backoffs", st.Backoffs))
 	if c.src != 0 && span.ID() != 0 {
 		// Hand the causality to the receiver: the merged fleet timeline
 		// draws an arrow from this span to whatever event the far side

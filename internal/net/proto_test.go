@@ -21,7 +21,7 @@ func testPayload(n int) []byte {
 func newTestConn(fwd, rev Plan, cfg Config) (*Conn, *clock.Virtual) {
 	clk := clock.NewVirtual()
 	pipe := NewPipe(clk, Params{Latency: 15 * time.Microsecond, PerByte: time.Nanosecond}, fwd, rev)
-	return NewConn(pipe, clk, cfg, nil), clk
+	return NewConn(pipe, clk, cfg), clk
 }
 
 func mustTransfer(t *testing.T, c *Conn, epoch uint64, payload []byte) TransferStats {

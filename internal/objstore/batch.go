@@ -73,8 +73,7 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 
 	var batchSpan, phaseSpan trace.Span
 	if s.tr != nil {
-		batchSpan = s.tr.Begin(trace.TrackObjstore, "writepages",
-			trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
+		batchSpan = s.tr.Begin(trace.TrackObjstore, "writepages")
 		phaseSpan = batchSpan.Child("reserve")
 	}
 
@@ -197,9 +196,9 @@ func (s *Store) writePageBatch(oid OID, writes []PageWrite) error {
 	s.mu.Unlock()
 	if s.tr != nil {
 		phaseSpan.End()
-		batchSpan.End()
-		s.tr.Count("objstore.data_bytes", int64(len(writes))*BlockSize)
+		batchSpan.End(trace.I("oid", int64(oid)), trace.I("pages", int64(len(writes))))
 	}
+	s.reg.Counter("objstore.data_bytes").Add(int64(len(writes)) * BlockSize)
 	return nil
 }
 

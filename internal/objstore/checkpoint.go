@@ -208,25 +208,26 @@ func (s *Store) Checkpoint() (CheckpointStats, error) {
 		if s.walSeq > 0 {
 			s.walSeq = 0
 			s.walDurable = make(map[uint64]time.Duration)
-			if s.tr != nil {
-				s.tr.Count("objstore.wal_folds", 1)
-			}
+			s.reg.Counter("objstore.wal_folds").Add(1)
 		}
 	}
 	s.observeDurableLocked(sbDone)
 
 	st.DurableAt = sbDone
 	st.CommitCharged = sw.Elapsed()
+	releaseq := int64(len(s.releasing)) + int64(len(s.releaseQ))
 	if s.tr != nil {
 		// The commit window stretches from submission to the superblock's
 		// durability point — the drain that overlaps resumed execution.
 		s.tr.Range(trace.TrackObjstore, "commit.window", commitSpan.Start(), sbDone,
 			trace.I("epoch", int64(cur)))
-		s.tr.Gauge("objstore.releaseq", int64(len(s.releasing))+int64(len(s.releaseQ)))
-		s.tr.Count("objstore.commits", 1)
-		s.tr.Count("objstore.meta_bytes", st.MetaBytes)
 	}
-	commitSpan.End(trace.I("meta_bytes", st.MetaBytes))
+	if reg := s.reg; reg != nil {
+		reg.Gauge("objstore.releaseq").Set(releaseq)
+		reg.Counter("objstore.commits").Add(1)
+		reg.Counter("objstore.meta_bytes").Add(st.MetaBytes)
+	}
+	commitSpan.End(trace.I("meta_bytes", st.MetaBytes), trace.I("releaseq", releaseq))
 	return st, nil
 }
 

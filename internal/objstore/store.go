@@ -37,6 +37,7 @@ import (
 	"aurora/internal/clock"
 	"aurora/internal/flight"
 	"aurora/internal/mem"
+	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 )
 
@@ -168,6 +169,7 @@ type Store struct {
 	clk   clock.Clock
 	costs *clock.Costs
 	tr    *trace.Tracer
+	reg   *telemetry.Registry
 	fl    *flight.Recorder
 
 	// settled notes epochs whose durability has been waited on, so the
@@ -313,9 +315,18 @@ func Recover(dev BlockDev, clk clock.Clock, costs *clock.Costs) (*Store, error) 
 	return s, nil
 }
 
-// SetTracer attaches tr to the store; nil disables tracing. Wire it at
-// build time — it is not synchronized against in-flight operations.
-func (s *Store) SetTracer(tr *trace.Tracer) { s.tr = tr }
+// Instrument attaches a tracer and a metrics registry; either may be nil.
+// Wire it at build time — it is not synchronized against in-flight
+// operations.
+func (s *Store) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
+	s.tr, s.reg = tr, reg
+	reg.Register(telemetry.Family{
+		Counters: []string{"objstore.commits", "objstore.meta_bytes", "objstore.data_bytes",
+			"objstore.wal_appends", "objstore.wal_bytes", "objstore.wal_folds", "objstore.wal_gc_bytes"},
+		Gauges:     []string{"objstore.wal_head", "objstore.releaseq"},
+		Histograms: []string{"durable.window_ns"},
+	})
+}
 
 // SetFlight attaches the flight recorder; nil disables it. Each Checkpoint
 // serializes the ring into FlightOID before committing, so the recent event

@@ -275,12 +275,13 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 	st.Bytes = total
 	st.DurableAt = done
 	st.CommitCharged = sw.Elapsed()
-	if s.tr != nil {
-		s.tr.Count("objstore.wal_appends", 1)
-		s.tr.Count("objstore.wal_bytes", total)
-		s.tr.Gauge("objstore.wal_head", s.walHead)
+	if reg := s.reg; reg != nil {
+		reg.Counter("objstore.wal_appends").Add(1)
+		reg.Counter("objstore.wal_bytes").Add(total)
+		reg.Gauge("objstore.wal_head").Set(s.walHead)
 	}
-	span.End(trace.I("seq", int64(fr.seq)), trace.I("bytes", total), trace.I("ops", int64(len(fr.ops))))
+	span.End(trace.I("seq", int64(fr.seq)), trace.I("bytes", total), trace.I("ops", int64(len(fr.ops))),
+		trace.I("head", s.walHead))
 	return st, nil
 }
 
@@ -289,7 +290,7 @@ func (s *Store) WALCommit() (WALCommitStats, error) {
 // Requires mu.
 func (s *Store) observeDurableLocked(done time.Duration) {
 	if s.lastDurable > 0 && done > s.lastDurable {
-		s.tr.Observe("durable.window_ns", int64(done-s.lastDurable))
+		s.reg.Observe("durable.window_ns", int64(done-s.lastDurable))
 	}
 	s.lastDurable = done
 }
@@ -309,8 +310,8 @@ func (s *Store) maybeResetWALLocked() {
 	reclaimed := s.walHead
 	s.walHead = 0
 	s.fl.Record(int64(s.clk.Now()), flight.EvWALGC, reclaimed, int64(s.epoch), 0, "")
+	s.reg.Counter("objstore.wal_gc_bytes").Add(reclaimed)
 	if s.tr != nil {
-		s.tr.Count("objstore.wal_gc_bytes", reclaimed)
 		s.tr.Instant(trace.TrackObjstore, "wal.gc", trace.I("bytes", reclaimed))
 	}
 }

@@ -235,33 +235,20 @@ func (c *Coordinator) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
 	c.tr = tr
 	c.reg = reg
 	c.src = telemetry.MachineID("coordinator")
-	if reg != nil {
-		// Pre-register the full counter family so a clean run still exports
-		// every fleet metric as a zero series — an SLO or assertion on
-		// fleet.orphans must read 0, not "no data".
-		for _, name := range []string{
-			"fleet.deaths", "fleet.failovers", "fleet.reseeds",
-			"fleet.rebalances", "fleet.migrations", "fleet.orphans",
-			"fleet.sync_errors",
-		} {
-			reg.Counter(name)
-		}
-		reg.Gauge("fleet.alive")
-	}
+	// Pre-register the full counter family so a clean run still exports
+	// every fleet metric as a zero series — an SLO or assertion on
+	// fleet.orphans must read 0, not "no data".
+	reg.Register(telemetry.Family{
+		Counters: []string{"fleet.deaths", "fleet.failovers", "fleet.reseeds",
+			"fleet.migrations", "fleet.orphans", "fleet.sync_errors"},
+		Gauges: []string{"fleet.alive"},
+	})
 }
 
 // WatchSLO gives Status a breach log to render. The coordinator never
 // evaluates the watch itself — the driver sampling the metrics does —
 // so attaching the same watch here cannot double-count breaches.
 func (c *Coordinator) WatchSLO(w *telemetry.Watch) { c.slo = w }
-
-// span opens a placement-decision span; nil-safe on an untraced coordinator.
-func (c *Coordinator) span(track trace.Track, name string, args ...trace.Arg) trace.Span {
-	if c.tr == nil {
-		return trace.Span{}
-	}
-	return c.tr.Begin(track, name, args...)
-}
 
 func (c *Coordinator) count(name string, d int64) {
 	if c.reg != nil {
@@ -410,7 +397,7 @@ func (c *Coordinator) Rebalance() []Event {
 // heartbeat probes every registered machine over its heartbeat wire and
 // acts on death edges.
 func (c *Coordinator) heartbeat(evs *[]Event) {
-	sp := c.span(trace.TrackFleet, "fleet.heartbeat")
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.heartbeat")
 	probed, alive := 0, 0
 	for _, name := range c.order {
 		n := c.nodes[name]
@@ -443,7 +430,7 @@ func (c *Coordinator) heartbeat(evs *[]Event) {
 // auditPass runs each live machine's invariant audit; a machine whose
 // kernel/store invariants fail is fail-stopped on the spot.
 func (c *Coordinator) auditPass(evs *[]Event) {
-	sp := c.span(trace.TrackAudit, "fleet.audit")
+	sp := c.tr.Begin(trace.TrackAudit, "fleet.audit")
 	scanned, failed := 0, 0
 	for _, name := range c.order {
 		n := c.nodes[name]
@@ -510,11 +497,11 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 		return
 	}
 	start := c.clk.Now()
-	sp := c.span(trace.TrackFleet, "fleet.failover",
-		trace.S("group", a.Name), trace.S("from", deadPrimary), trace.S("to", a.Standby))
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.failover")
+	spArgs := []trace.Arg{trace.S("group", a.Name), trace.S("from", deadPrimary), trace.S("to", a.Standby)}
 	g, _, err := a.rep.Failover(aurora.RestoreEager)
 	if err != nil {
-		sp.End(trace.S("err", err.Error()))
+		sp.End(append(spArgs, trace.S("err", err.Error()))...)
 		a.Orphaned = true
 		c.orphans++
 		c.count("fleet.orphans", 1)
@@ -543,9 +530,9 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 		mtr.Instant(trace.TrackFleet, "fleet.promote",
 			trace.S("group", a.Name), trace.S("from", deadPrimary),
 			trace.I(telemetry.FlowIn, id))
-		sp.End(trace.I("latency_ns", int64(lat)), trace.I(telemetry.FlowOut, id))
+		sp.End(append(spArgs, trace.I("latency_ns", int64(lat)), trace.I(telemetry.FlowOut, id))...)
 	} else {
-		sp.End(trace.I("latency_ns", int64(lat)))
+		sp.End(append(spArgs, trace.I("latency_ns", int64(lat)))...)
 	}
 	*evs = append(*evs, Event{
 		Kind: EvFailover, At: c.clk.Now(), Group: a.Name,
@@ -779,13 +766,13 @@ func (c *Coordinator) MigrateGroup(group, to string) ([]Event, error) {
 func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	src := c.nodes[a.Primary]
 	start := c.clk.Now()
-	sp := c.span(trace.TrackFleet, "fleet.migrate",
-		trace.S("group", a.Name), trace.S("from", src.Name), trace.S("to", target.Name))
+	sp := c.tr.Begin(trace.TrackFleet, "fleet.migrate")
+	spArgs := []trace.Arg{trace.S("group", a.Name), trace.S("from", src.Name), trace.S("to", target.Name)}
 	g, _, err := src.M.MigrateTo(target.M, a.Name, c.cfg.MigrateRounds, a.work)
 	if err != nil {
 		// The group survived in place (migration failure leaves the
 		// source intact); report and move on.
-		sp.End(trace.S("err", err.Error()))
+		sp.End(append(spArgs, trace.S("err", err.Error()))...)
 		*evs = append(*evs, Event{
 			Kind: EvRebalance, At: c.clk.Now(), Group: a.Name,
 			From: src.Name, To: target.Name, Err: err,
@@ -812,9 +799,9 @@ func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 		mtr.Instant(trace.TrackFleet, "fleet.receive",
 			trace.S("group", a.Name), trace.S("from", from),
 			trace.I(telemetry.FlowIn, id))
-		sp.End(trace.I(telemetry.FlowOut, id))
+		sp.End(append(spArgs, trace.I(telemetry.FlowOut, id))...)
 	} else {
-		sp.End()
+		sp.End(spArgs...)
 	}
 	*evs = append(*evs, Event{
 		Kind: EvRebalance, At: c.clk.Now(), Group: a.Name,

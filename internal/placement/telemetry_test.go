@@ -147,6 +147,45 @@ func TestFailoverSpansAndFlowChain(t *testing.T) {
 	}
 }
 
+// TestSpanArgsReachTimeline pins that args known when a span opens reach
+// the recorded event: spans carry every arg at End, on every path that
+// closes them.
+func TestSpanArgsReachTimeline(t *testing.T) {
+	f, tr, _ := newTracedFleet(t, 3, Config{
+		SyncEvery:      2 * time.Millisecond,
+		HeartbeatEvery: 1 * time.Millisecond,
+	})
+	f.start(t, "g0", 0)
+	f.run(t, 10, time.Millisecond)
+	if err := f.c.KillMachine("aur0"); err != nil {
+		t.Fatal(err)
+	}
+	f.run(t, 20, time.Millisecond)
+
+	arg := func(ev trace.Event, key string) any {
+		for _, a := range ev.Args {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+		return nil
+	}
+	fo, ok := findEvent(tr.Events(), "fleet.failover")
+	if !ok {
+		t.Fatal("no fleet.failover span")
+	}
+	if arg(fo, "group") != "g0" || arg(fo, "from") != "aur0" || arg(fo, "to") == nil {
+		t.Fatalf("fleet.failover args: %+v", fo.Args)
+	}
+	ckpt, ok := findEvent(f.ms[0].Tracer.Events(), "checkpoint")
+	if !ok {
+		t.Fatal("no checkpoint span on the primary")
+	}
+	if _, ok := arg(ckpt, "kind").(int64); !ok {
+		t.Fatalf("checkpoint span has no kind: %+v", ckpt.Args)
+	}
+}
+
 func TestStatusRendersSLOBreaches(t *testing.T) {
 	f, _, reg := newTracedFleet(t, 2, Config{})
 	f.start(t, "g0", 0)

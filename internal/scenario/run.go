@@ -1148,15 +1148,15 @@ func (r *runner) metricRegistries(a AssertionDecl) []*telemetry.Registry {
 }
 
 // metricHistogram merges the named histogram across the assertion's scope.
-func (r *runner) metricHistogram(a AssertionDecl) *trace.Histogram {
-	var out *trace.Histogram
+func (r *runner) metricHistogram(a AssertionDecl) *telemetry.Histogram {
+	var out *telemetry.Histogram
 	for _, reg := range r.metricRegistries(a) {
 		h := reg.HistogramCopy(a.Metric)
 		if h == nil {
 			continue
 		}
 		if out == nil {
-			out = trace.NewHistogram(a.Metric)
+			out = telemetry.NewHistogram(a.Metric)
 		}
 		out.Merge(h)
 	}

@@ -85,7 +85,8 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	// virtual time between them, so their durations tile the stop window
 	// exactly — summing them reproduces StopTime, which is what the trace
 	// acceptance test asserts.
-	ckptSpan := o.Tracer.Begin(trace.TrackSLS, "checkpoint", trace.I("kind", int64(kind)))
+	ckptSpan := o.tr.Begin(trace.TrackSLS, "checkpoint")
+	kindArg := trace.I("kind", int64(kind))
 	o.Store.Flight().Record(int64(o.Clk.Now()), flight.EvCheckpointBegin,
 		int64(g.oid), g.ckpts+1, int64(kind), g.Name)
 	stopSpan := ckptSpan.Child("stop")
@@ -225,7 +226,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		g.pending = pairs
 		g.lastCkpt = o.Clk.Now()
 		g.ckpts++
-		ckptSpan.End()
+		ckptSpan.End(kindArg)
 		o.recordCheckpointMetrics(st, false)
 		return st, nil
 	}
@@ -292,15 +293,11 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 			g.walSinceFold++
 			g.lastCkpt = o.Clk.Now()
 			g.ckpts++
-			if tr := o.Tracer; tr != nil {
+			if tr := o.tr; tr != nil {
 				tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
 					trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
-				tr.Count("sls.checkpoints", 1)
-				tr.Count("sls.wal_commits", 1)
-				tr.Count("sls.dirty_pages", st.DirtyPages)
-				tr.Count("sls.flush_bytes", st.FlushBytes)
 			}
-			ckptSpan.End(trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
+			ckptSpan.End(kindArg, trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
 			o.recordCheckpointMetrics(st, true)
 			return st, nil
 		}
@@ -322,16 +319,13 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	g.lastEpoch = cst.Epoch
 	g.lastCkpt = o.Clk.Now()
 	g.ckpts++
-	if tr := o.Tracer; tr != nil {
+	if tr := o.tr; tr != nil {
 		// The drain window: submitted writes settling while the
 		// application already runs — the overlap the paper claims.
 		tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
 			trace.I("epoch", int64(st.Epoch)))
-		tr.Count("sls.checkpoints", 1)
-		tr.Count("sls.dirty_pages", st.DirtyPages)
-		tr.Count("sls.flush_bytes", st.FlushBytes)
 	}
-	ckptSpan.End(trace.I("epoch", int64(st.Epoch)))
+	ckptSpan.End(kindArg, trace.I("epoch", int64(st.Epoch)))
 	o.recordCheckpointMetrics(st, false)
 
 	if g.RetainEpochs > 0 && int(cst.Epoch) > g.RetainEpochs {
@@ -344,9 +338,10 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 // the paper's continuous-time claims as histograms (the sampler turns
 // their p99 into time series), plus commit counters. The durable window
 // is the span from commit to the moment the write settles — 0 when the
-// device already caught up.
+// device already caught up. Dirty pages and flush bytes count only
+// checkpoints that reached the store.
 func (o *Orchestrator) recordCheckpointMetrics(st CheckpointStats, wal bool) {
-	reg := o.Metrics
+	reg := o.reg
 	if reg == nil {
 		return
 	}
@@ -358,6 +353,8 @@ func (o *Orchestrator) recordCheckpointMetrics(st CheckpointStats, wal bool) {
 			window = 0
 		}
 		reg.Observe("sls.durable.window.ns", int64(window))
+		reg.Counter("sls.dirty_pages").Add(st.DirtyPages)
+		reg.Counter("sls.flush_bytes").Add(st.FlushBytes)
 		if wal {
 			reg.Counter("sls.wal.commits").Add(1)
 			reg.Observe("sls.wal.window.ns", int64(window))

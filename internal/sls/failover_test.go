@@ -38,7 +38,7 @@ func TestFailoverMidShipRestoresCommittedBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), net.Plan{}, net.Plan{}),
-		src.clk, replConfig(), nil)
+		src.clk, replConfig())
 
 	for pg := int64(0); pg < workloadPages; pg++ {
 		if err := app.write(pg, byte(1+pg)); err != nil {
@@ -318,7 +318,7 @@ func TestMigrateToDeadMachine(t *testing.T) {
 	cfg := net.Config{Window: 4, FrameData: 4 << 10, MaxRetries: 3}
 	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
 		net.Plan{Partitions: []net.Partition{{From: 0, Until: time.Hour}}}, net.Plan{}),
-		src.clk, cfg, nil)
+		src.clk, cfg)
 	work := func() error { return app.write(1, 0x77) }
 	if _, _, err := app.g.MigrateVia(dst.o, 2, work, conn); !errors.Is(err, net.ErrRetriesExhausted) {
 		t.Fatalf("migrate to dead machine: err = %v, want retries exhausted", err)

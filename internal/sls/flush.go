@@ -170,7 +170,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 		workers = len(pl.jobs)
 	}
 	res.workers = workers
-	tr := g.o.Tracer // nil disables; Span methods no-op on the zero Span
+	tr := g.o.tr // nil disables; Span methods no-op on the zero Span
 
 	var (
 		bytes, encodeNS, writeNS atomic.Int64
@@ -205,14 +205,14 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 				// Job spans are zero-width in virtual time — encode and
 				// submit burn host CPU only — so the host costs ride as
 				// args while the virtual timeline stays authoritative.
-				jobSpan := tr.Begin(trace.TrackFlush, "flush.job",
-					trace.I("oid", int64(j.toid)))
+				jobSpan := tr.Begin(trace.TrackFlush, "flush.job")
+				oid := trace.I("oid", int64(j.toid))
 				t0 := time.Now()
 				writes := encodeJob(j)
 				encNS := int64(time.Since(t0))
 				encodeNS.Add(encNS)
 				if len(writes) == 0 {
-					jobSpan.End(trace.I("pages", 0))
+					jobSpan.End(oid, trace.I("pages", 0))
 					continue
 				}
 				t0 = time.Now()
@@ -223,7 +223,7 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 				if err != nil {
 					fail(err)
 				}
-				jobSpan.End(trace.I("pages", int64(len(writes))), trace.I("bytes", n),
+				jobSpan.End(oid, trace.I("pages", int64(len(writes))), trace.I("bytes", n),
 					trace.I("encode_host_ns", encNS), trace.I("write_host_ns", wrNS))
 			}
 		}()
@@ -235,9 +235,6 @@ func (g *Group) runFlush(pl *flushPlan) (flushResult, error) {
 			if d <= m || maxDepth.CompareAndSwap(m, d) {
 				break
 			}
-		}
-		if tr != nil {
-			tr.Observe("flush.queue_depth", d)
 		}
 		jobs <- j
 	}

@@ -123,20 +123,21 @@ func (r *Replica) Resume() error {
 		return nil
 	}
 	p := r.pending
-	span := r.traceSpan("sls.replica.resume", trace.I("epoch", int64(p.epoch)))
+	span := r.g.o.tr.Begin(trace.TrackSLS, "sls.replica.resume")
+	epochArg := trace.I("epoch", int64(p.epoch))
 	if fl := r.g.o.Store.Flight(); fl != nil {
 		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplResume, int64(p.epoch), int64(len(p.data)), 0, "")
 	}
 	st, err := r.conn.Transfer(p.epoch, p.data)
 	r.accumulate(st)
 	if err != nil {
-		span.End(trace.S("err", err.Error()))
+		span.End(epochArg, trace.S("err", err.Error()))
 		return fmt.Errorf("sls: resuming replication of epoch %d: %w", p.epoch, err)
 	}
 	r.Resumes++
 	err = r.apply(p.epoch, p.newBase, int64(len(p.data)), p.cutStart)
 	r.pending = nil
-	span.End()
+	span.End(epochArg)
 	return err
 }
 
@@ -185,8 +186,8 @@ func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 		return err
 	}
 	epoch := uint64(r.g.lastEpoch)
-	span := r.traceSpan("sls.replica.ship",
-		trace.I("epoch", int64(epoch)), trace.I("bytes", int64(buf.Len())), trace.I("since", int64(since)))
+	span := r.g.o.tr.Begin(trace.TrackSLS, "sls.replica.ship")
+	shipArgs := []trace.Arg{trace.I("epoch", int64(epoch)), trace.I("bytes", int64(buf.Len())), trace.I("since", int64(since))}
 	if fl := r.g.o.Store.Flight(); fl != nil {
 		fl.Record(int64(r.g.o.Clk.Now()), flight.EvReplShip, int64(epoch), int64(buf.Len()), int64(since), "")
 	}
@@ -196,11 +197,11 @@ func (r *Replica) ship(since objstore.Epoch, cutStart time.Duration) error {
 		// Keep the encoded stream: the receiver holds its partial progress
 		// under this epoch key, and Resume re-ships only the missing tail.
 		r.pending = &pendingShip{epoch: epoch, newBase: r.g.lastEpoch, data: buf.Bytes(), cutStart: cutStart}
-		span.End(trace.S("err", err.Error()))
+		span.End(append(shipArgs, trace.S("err", err.Error()))...)
 		return fmt.Errorf("sls: replicating epoch %d: %w", epoch, err)
 	}
 	err = r.apply(epoch, r.g.lastEpoch, int64(buf.Len()), cutStart)
-	span.End()
+	span.End(shipArgs...)
 	return err
 }
 
@@ -211,7 +212,7 @@ func (r *Replica) apply(epoch uint64, newBase objstore.Epoch, n int64, cutStart 
 	// frame header carried the sender's trace-context, so the standby's
 	// apply instant gets the matching flow id and the merged fleet
 	// timeline draws ship -> apply as one arrow across machine tracks.
-	if dtr := r.dst.Tracer; dtr != nil {
+	if dtr := r.dst.tr; dtr != nil {
 		if src, span, ok := r.conn.SessionContext(epoch); ok {
 			dtr.Instant(trace.TrackNet, "net.apply",
 				trace.I("epoch", int64(epoch)),
@@ -236,13 +237,9 @@ func (r *Replica) commit(newBase objstore.Epoch, n int64, cutStart time.Duration
 	r.BytesTotal += n
 	r.LastBytes = n
 	r.LastLag = r.g.o.Clk.Now() - cutStart
-	if tr := r.g.o.Tracer; tr != nil {
-		tr.Count("sls.replica.syncs", 1)
-		tr.Count("sls.replica.bytes", n)
-		tr.Observe("sls.replica.lag.ns", int64(r.LastLag))
-	}
-	if reg := r.g.o.Metrics; reg != nil {
+	if reg := r.g.o.reg; reg != nil {
 		reg.Counter("sls.replica.syncs").Add(1)
+		reg.Counter("sls.replica.bytes").Add(n)
 		reg.Observe("sls.replica.lag.ns", int64(r.LastLag))
 	}
 }
@@ -251,13 +248,6 @@ func (r *Replica) accumulate(st net.TransferStats) {
 	r.WireBytes += st.WireBytes
 	r.Retransmits += st.Retransmits
 	r.Backoffs += st.Backoffs
-}
-
-func (r *Replica) traceSpan(name string, args ...trace.Arg) trace.Span {
-	if r.g.o.Tracer == nil {
-		return trace.Span{}
-	}
-	return r.g.o.Tracer.Begin(trace.TrackSLS, name, args...)
 }
 
 // ErrFailedOver reports an operation on a replica whose standby has already

@@ -188,7 +188,7 @@ func runReplScenario(fwd, rev net.Plan, cfg net.Config) (*replImage, *net.Conn, 
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), fwd, rev), src.clk, cfg, nil)
+	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), fwd, rev), src.clk, cfg)
 
 	step := func(i int) error {
 		if err := app.write(int64(i), byte(0x10+i)); err != nil {
@@ -365,7 +365,7 @@ func TestReplicaResumeAfterCut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), net.Plan{}, net.Plan{}), src.clk, replConfig(), nil)
+	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), net.Plan{}, net.Plan{}), src.clk, replConfig())
 
 	step := func(i int) {
 		t.Helper()
@@ -461,7 +461,7 @@ func TestReplicaResumeShipsOnlyTail(t *testing.T) {
 	}
 	cfg := net.Config{Window: 4, FrameData: 4 << 10, MaxRetries: 3}
 	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(),
-		net.Plan{PartitionXmit: 12, PartitionDur: time.Hour}, net.Plan{}), src.clk, cfg, nil)
+		net.Plan{PartitionXmit: 12, PartitionDur: time.Hour}, net.Plan{}), src.clk, cfg)
 
 	rep, err := app.g.ReplicateToVia(dst.o, conn)
 	if !errors.Is(err, net.ErrRetriesExhausted) {
@@ -547,7 +547,7 @@ func lossyPropertyRun(seed int64) error {
 	if err != nil {
 		return err
 	}
-	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), fwd, rev), src.clk, replConfig(), nil)
+	conn := net.NewConn(net.NewPipe(src.clk, net.DefaultParams(), fwd, rev), src.clk, replConfig())
 
 	mutate := func() error {
 		for i, n := 0, 1+rng.Intn(6); i < n; i++ {

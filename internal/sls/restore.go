@@ -86,9 +86,9 @@ func (sp *storePager) PageIn(pg int64, p *mem.Page) error {
 					return err
 				}
 			}
-			if tr := g.o.Tracer; tr != nil {
-				tr.Count(name+".faults", 1)
-				tr.Count(name+".bytes", int64(len(p.Data)))
+			if reg := g.o.reg; reg != nil {
+				reg.Counter(name + ".faults").Add(1)
+				reg.Counter(name + ".bytes").Add(int64(len(p.Data)))
 			}
 		}
 	}
@@ -107,9 +107,7 @@ func (sp *storePager) speculate(pg int64, p *mem.Page) error {
 	}
 	g.specPages.Add(1)
 	sp.obj.MarkSpeculated(pg)
-	if tr := g.o.Tracer; tr != nil {
-		tr.Count("sls.spec.faults", 1)
-	}
+	g.o.reg.Counter("sls.spec.faults").Add(1)
 	sum, ok, err := pageSum(sp.src, sp.oid, pg)
 	if err != nil || !ok {
 		return nil // no ground truth; the sweep revisits the mark
@@ -159,8 +157,7 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 	sw := clock.StartStopwatch(o.Clk)
 	st.Mode = mode
 	st.Lazy = mode != RestoreFull
-	restSpan := o.Tracer.Begin(trace.TrackSLS, "restore",
-		trace.S("group", name), trace.I("mode", int64(mode)))
+	restSpan := o.tr.Begin(trace.TrackSLS, "restore")
 	if fl := o.Store.Flight(); fl != nil {
 		fl.Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)
 	}
@@ -330,9 +327,9 @@ func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, c
 		// data page has moved.
 		st.TimeToFirstOp = st.Time
 	}
-	restSpan.End(trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
+	restSpan.End(trace.S("group", name), trace.I("mode", int64(mode)), trace.I("procs", int64(st.Procs)), trace.I("objects", int64(st.Objects)),
 		trace.I("pages_eager", st.PagesEager))
-	if reg := o.Metrics; reg != nil {
+	if reg := o.reg; reg != nil {
 		reg.Counter("sls.restores").Add(1)
 		ttfo := st.TimeToFirstOp
 		if ttfo == 0 {

@@ -142,17 +142,14 @@ type Orchestrator struct {
 	Store *objstore.Store
 	Clk   clock.Clock
 	Costs *clock.Costs
-	// Tracer, when non-nil, records checkpoint/restore/flush spans and
-	// page-in counters. Wire it before the first checkpoint (typically
-	// together with Store.SetTracer and the device's SetTracer so all
-	// layers share one timeline).
-	Tracer *trace.Tracer
-	// Metrics, when non-nil, is the machine's telemetry registry: the
-	// paper's continuous-time claims (stop time, durable window, WAL
-	// window, time-to-first-op, replication lag) recorded at the source
-	// as histograms, for the sampler to turn into time series. Nil-safe
-	// like the tracer: every hook costs one pointer check when disabled.
-	Metrics *telemetry.Registry
+	// tr, when non-nil, records checkpoint/restore/flush spans. reg, when
+	// non-nil, is the machine's telemetry registry: the paper's
+	// continuous-time claims (stop time, durable window, WAL window,
+	// time-to-first-op, replication lag) recorded at the source as
+	// histograms, plus checkpoint, page-in and speculation counters. Both
+	// are nil-safe: every hook costs one pointer check when disabled.
+	tr  *trace.Tracer
+	reg *telemetry.Registry
 
 	mu        sync.Mutex
 	groups    map[uint64]*Group
@@ -186,6 +183,22 @@ func New(k *kern.Kernel, store *objstore.Store) *Orchestrator {
 		return 0
 	}
 	return o
+}
+
+// Instrument attaches a tracer and a metrics registry (either may be nil;
+// wire them before the first checkpoint) and pre-registers the sls metric
+// family in a fixed order: page-ins and validation run on worker
+// goroutines, and export order must not depend on which records first.
+func (o *Orchestrator) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
+	o.tr, o.reg = tr, reg
+	reg.Register(telemetry.Family{
+		Counters: []string{"sls.ckpt.total", "sls.wal.commits", "sls.dirty_pages", "sls.flush_bytes",
+			"sls.restores", "sls.pagein.faults", "sls.pagein.bytes", "sls.swapin.faults", "sls.swapin.bytes",
+			"sls.spec.faults", "sls.spec.validated_pages", "sls.spec.rollbacks",
+			"sls.replica.syncs", "sls.replica.bytes"},
+		Histograms: []string{"sls.stop.ns", "sls.durable.window.ns", "sls.wal.window.ns",
+			"sls.restore.ttfo.ns", "sls.replica.lag.ns"},
+	})
 }
 
 // Options tunes a group's checkpoint machinery.

@@ -273,9 +273,7 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
-	span := o.Tracer.Begin(trace.TrackSLS, "spec.validate",
-		trace.I("groups", int64(len(groups))), trace.I("objects", int64(len(jobs))),
-		trace.I("workers", int64(workers)))
+	span := o.tr.Begin(trace.TrackSLS, "spec.validate")
 
 	var (
 		wg       sync.WaitGroup
@@ -288,10 +286,10 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 		go func() {
 			defer wg.Done()
 			for j := range jobCh {
-				jspan := o.Tracer.Begin(trace.TrackFlush, "spec.validate.obj",
-					trace.S("group", j.g.Name), trace.I("oid", int64(j.rm.oid)))
+				jspan := o.tr.Begin(trace.TrackFlush, "spec.validate.obj")
 				confirmed, installed, err := o.validateObject(j.g, j.rm)
-				jspan.End(trace.I("confirmed", confirmed), trace.I("installed", installed))
+				jspan.End(trace.S("group", j.g.Name), trace.I("oid", int64(j.rm.oid)),
+					trace.I("confirmed", confirmed), trace.I("installed", installed))
 				if err != nil && !errors.Is(err, ErrSpeculation) {
 					errMu.Lock()
 					if firstErr == nil {
@@ -307,7 +305,8 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 	}
 	close(jobCh)
 	wg.Wait()
-	span.End()
+	span.End(trace.I("groups", int64(len(groups))), trace.I("objects", int64(len(jobs))),
+		trace.I("workers", int64(workers)))
 	if firstErr != nil {
 		return nil, nil, firstErr
 	}
@@ -333,9 +332,7 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 				fl.Record(int64(o.Clk.Now()), flight.EvSpecValidated,
 					int64(g.oid), validated, pages, g.Name)
 			}
-			if tr := o.Tracer; tr != nil {
-				tr.Count("sls.spec.validated_pages", validated)
-			}
+			o.reg.Counter("sls.spec.validated_pages").Add(validated)
 			outG[i], outSt[i] = g, st
 			continue
 		}
@@ -359,14 +356,11 @@ func (o *Orchestrator) rollbackSpeculation(g *Group) (*Group, RestoreStats, erro
 	name, src, cont := g.Name, g.specSrc, g.specContinuing
 	badOID, badPg, _ := g.SpecMismatch()
 	pages, validated := g.SpecCounts()
-	span := o.Tracer.Begin(trace.TrackSLS, "spec.rollback",
-		trace.S("group", name), trace.I("oid", int64(badOID)), trace.I("page", badPg))
+	span := o.tr.Begin(trace.TrackSLS, "spec.rollback")
 	if fl := o.Store.Flight(); fl != nil {
 		fl.Record(int64(o.Clk.Now()), flight.EvSpecRollback, int64(g.oid), int64(badOID), badPg, name)
 	}
-	if tr := o.Tracer; tr != nil {
-		tr.Count("sls.spec.rollbacks", 1)
-	}
+	o.reg.Counter("sls.spec.rollbacks").Add(1)
 	if st, ok := src.(*objstore.Store); ok && cont {
 		crumb := SpecRecord{
 			Group:     name,
@@ -393,7 +387,8 @@ func (o *Orchestrator) rollbackSpeculation(g *Group) (*Group, RestoreStats, erro
 
 	g2, rst, err := o.RestoreGroup(name, src, RestoreFull, cont)
 	rst.Rollbacks = 1
-	span.End(trace.I("ok", boolInt(err == nil)))
+	span.End(trace.S("group", name), trace.I("oid", int64(badOID)), trace.I("page", badPg),
+		trace.I("ok", boolInt(err == nil)))
 	return g2, rst, err
 }
 

@@ -4,26 +4,38 @@ import (
 	"testing"
 	"time"
 
+	"aurora/internal/telemetry"
 	"aurora/internal/trace"
 	"aurora/internal/vm"
 )
 
-// tracedWorld wires a tracer through every layer of a fresh world, the way
-// aurora.Config{Trace: true} does for a Machine.
-func tracedWorld(t *testing.T) (*world, *trace.Tracer) {
+// tracedWorld wires a tracer and a metrics registry through every layer of
+// a fresh world, the way aurora.Config{Trace: true, Telemetry: true} does
+// for a Machine.
+func tracedWorld(t *testing.T) (*world, *trace.Tracer, *telemetry.Registry) {
 	t.Helper()
 	w := newWorld(t)
 	tr := trace.New(w.clk)
-	w.dev.SetTracer(tr)
-	w.store.SetTracer(tr)
-	w.o.Tracer = tr
-	return w, tr
+	reg := telemetry.New(w.clk)
+	w.dev.Instrument(tr, reg)
+	retrace(w, tr, reg)
+	return w, tr, reg
 }
 
-// retrace carries the tracer across a crash into the rebooted world.
-func retrace(w *world, tr *trace.Tracer) {
-	w.store.SetTracer(tr)
-	w.o.Tracer = tr
+// retrace carries the tracer and registry across a crash into the
+// rebooted world.
+func retrace(w *world, tr *trace.Tracer, reg *telemetry.Registry) {
+	w.store.Instrument(tr, reg)
+	w.o.Instrument(tr, reg)
+}
+
+func argOf(ev trace.Event, key string) (any, bool) {
+	for _, a := range ev.Args {
+		if a.Key == key {
+			return a.Val, true
+		}
+	}
+	return nil, false
 }
 
 func spansNamed(evs []trace.Event, name string) []trace.Event {
@@ -41,7 +53,7 @@ func spansNamed(evs []trace.Event, name string) []trace.Event {
 // layers, and the stop-the-world span's children tile the stop window —
 // their durations sum to CheckpointStats.StopTime within 1%.
 func TestTraceCheckpointSpanTree(t *testing.T) {
-	w, tr := tracedWorld(t)
+	w, tr, reg := tracedWorld(t)
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
 	if err := g.Attach(p); err != nil {
@@ -86,6 +98,9 @@ func TestTraceCheckpointSpanTree(t *testing.T) {
 		t.Fatalf("checkpoint spans = %d, want 1", len(ckpts))
 	}
 	ckpt := ckpts[0]
+	if kind, ok := argOf(ckpt, "kind"); !ok || kind != int64(CkptIncremental) {
+		t.Errorf("checkpoint span kind arg = %v, %v; want %d", kind, ok, CkptIncremental)
+	}
 	stops := spansNamed(evs, "stop")
 	if len(stops) != 1 || stops[0].Parent != ckpt.ID {
 		t.Fatalf("stop span: %+v (checkpoint id %d)", stops, ckpt.ID)
@@ -128,27 +143,27 @@ func TestTraceCheckpointSpanTree(t *testing.T) {
 		t.Error("durable.window span missing")
 	}
 
-	// Counters must agree with the stats the checkpoint reported.
-	if got := tr.CounterValue("sls.checkpoints"); got != 1 {
-		t.Errorf("sls.checkpoints = %d", got)
+	// Registry counters must agree with the stats the checkpoint reported.
+	if got := reg.Counter("sls.ckpt.total").Value(); got != 1 {
+		t.Errorf("sls.ckpt.total = %d", got)
 	}
-	if got := tr.CounterValue("sls.dirty_pages"); got != st.DirtyPages {
+	if got := reg.Counter("sls.dirty_pages").Value(); got != st.DirtyPages {
 		t.Errorf("sls.dirty_pages = %d, stats %d", got, st.DirtyPages)
 	}
-	if got := tr.CounterValue("sls.flush_bytes"); got != st.FlushBytes {
+	if got := reg.Counter("sls.flush_bytes").Value(); got != st.FlushBytes {
 		t.Errorf("sls.flush_bytes = %d, stats %d", got, st.FlushBytes)
 	}
-	if tr.CounterValue("dev.submits") == 0 || tr.CounterValue("dev.bytes") == 0 {
+	if reg.Counter("dev.submits").Value() == 0 || reg.Counter("dev.bytes").Value() == 0 {
 		t.Error("device counters empty")
 	}
 }
 
 // TestLazyRestorePageInCounters is the RestoreStats bugfix regression:
 // page-ins served by the store pager AFTER RestoreGroup returns must be
-// visible — through Group.LazyPageIns and the trace counters — even though
+// visible — through Group.LazyPageIns and the registry counters — even though
 // the point-in-time RestoreStats cannot see them.
 func TestLazyRestorePageInCounters(t *testing.T) {
-	w, tr := tracedWorld(t)
+	w, tr, reg := tracedWorld(t)
 	p := w.k.NewProc("app")
 	g := w.o.CreateGroup("app")
 	if err := g.Attach(p); err != nil {
@@ -174,7 +189,7 @@ func TestLazyRestorePageInCounters(t *testing.T) {
 	}
 
 	w2 := w.crash(t)
-	retrace(w2, tr)
+	retrace(w2, tr, reg)
 	g2, rst, err := w2.o.RestoreGroup("app", w2.store, RestoreLazy, true)
 	if err != nil {
 		t.Fatal(err)
@@ -202,11 +217,11 @@ func TestLazyRestorePageInCounters(t *testing.T) {
 	if bytes != pages*vm.PageSize {
 		t.Errorf("lazy bytes = %d, want %d", bytes, pages*vm.PageSize)
 	}
-	if got := tr.CounterValue("sls.pagein.faults"); got != pages {
-		t.Errorf("trace sls.pagein.faults = %d, want %d", got, pages)
+	if got := reg.Counter("sls.pagein.faults").Value(); got != pages {
+		t.Errorf("registry sls.pagein.faults = %d, want %d", got, pages)
 	}
-	if got := tr.CounterValue("sls.pagein.bytes"); got != pages*vm.PageSize {
-		t.Errorf("trace sls.pagein.bytes = %d, want %d", got, pages*vm.PageSize)
+	if got := reg.Counter("sls.pagein.bytes").Value(); got != pages*vm.PageSize {
+		t.Errorf("registry sls.pagein.bytes = %d, want %d", got, pages*vm.PageSize)
 	}
 	if len(spansNamed(tr.Events(), "restore")) != 1 {
 		t.Error("restore span missing")
@@ -217,8 +232,9 @@ func TestLazyRestorePageInCounters(t *testing.T) {
 // price is one nil pointer check, so (hook count × per-hook cost) for a
 // representative checkpoint must stay under 3% of that checkpoint's host
 // time. Hook count comes from an enabled run (every recorded event and
-// histogram sample passed through exactly one hook site), padded 4x for
-// guarded sites that bail before recording anything.
+// registry histogram sample passed through exactly one hook site; counter
+// and gauge updates ride alongside them), padded 4x for guarded sites that
+// bail before recording anything.
 func TestNilTracerOverheadGuard(t *testing.T) {
 	var nilTr *trace.Tracer
 	sink := 0
@@ -254,7 +270,7 @@ func TestNilTracerOverheadGuard(t *testing.T) {
 	}
 
 	// Enabled run: count what one checkpoint records.
-	wt, tr := tracedWorld(t)
+	wt, tr, reg := tracedWorld(t)
 	gt, err := workload(wt)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +279,7 @@ func TestNilTracerOverheadGuard(t *testing.T) {
 		t.Fatal(err)
 	}
 	hooks := len(tr.Events())
-	for _, h := range tr.Histograms() {
+	for _, h := range reg.Snapshot("").Histograms {
 		hooks += int(h.Count)
 	}
 	hooks *= 4

@@ -76,6 +76,37 @@ func (r *Registry) Snapshot(machine string) Snapshot {
 	return snap
 }
 
+// Rollup renders the registry as text in registration order: counters,
+// gauges, then histograms with p50/p95/p99. It is the metrics half of the
+// `sls trace` and `slsbench -trace` summaries; the tracer's Rollup is the
+// span half.
+func (r *Registry) Rollup() string {
+	snap := r.Snapshot("")
+	var b strings.Builder
+	for _, sec := range []struct {
+		title string
+		vs    []NamedValue
+	}{{"counters", snap.Counters}, {"gauges", snap.Gauges}} {
+		if len(sec.vs) > 0 {
+			fmt.Fprintf(&b, "%s:\n", sec.title)
+			for _, v := range sec.vs {
+				fmt.Fprintf(&b, "  %-28s %d\n", v.Name, v.Value)
+			}
+		}
+	}
+	if len(snap.Histograms) > 0 {
+		fmt.Fprintf(&b, "histograms:\n")
+		for _, h := range snap.Histograms {
+			fmt.Fprintf(&b, "  %-28s n=%-6d min=%-10d p50=%-10d p95=%-10d p99=%-10d max=%d\n",
+				h.Name, h.Count, h.Min, h.P50, h.P95, h.P99, h.Max)
+		}
+	}
+	if b.Len() == 0 {
+		return "metrics: none\n"
+	}
+	return b.String()
+}
+
 // FleetSnapshot is the fleet-wide JSON view: per-machine snapshots in
 // registration order plus fleet-merged histogram summaries.
 type FleetSnapshot struct {

@@ -1,9 +1,5 @@
 package telemetry
 
-import (
-	"aurora/internal/trace"
-)
-
 // Fleet aggregates per-machine registries into fleet-wide views. Members
 // iterate in registration order — the same determinism contract as the
 // placement coordinator.
@@ -37,18 +33,18 @@ func (f *Fleet) Members() []string {
 // MergedHistogram folds the named histogram from every member into one
 // fleet histogram. Members that never observed the metric contribute
 // nothing; the result is nil only when no member has it.
-func (f *Fleet) MergedHistogram(name string) *trace.Histogram {
+func (f *Fleet) MergedHistogram(name string) *Histogram {
 	if f == nil {
 		return nil
 	}
-	var out *trace.Histogram
+	var out *Histogram
 	for _, r := range f.regs {
 		h := r.HistogramCopy(name)
 		if h == nil {
 			continue
 		}
 		if out == nil {
-			out = trace.NewHistogram(name)
+			out = NewHistogram(name)
 		}
 		out.Merge(h)
 	}

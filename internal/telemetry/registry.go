@@ -1,12 +1,13 @@
-// Package telemetry is the fleet-wide metrics plane of the Aurora
-// reproduction: a typed registry (counters, gauges, histograms) keyed to
-// the simulated virtual clock, sampled on a cadence into bounded
-// time-series rings with pair-merge downsampling, aggregated across
-// machines into fleet percentiles, and watched by a declarative SLO
-// engine. It layers on internal/trace — histograms reuse the tracer's
-// log2 bucketing so per-machine and fleet-merged quantiles share one
-// error bound — and exports as Prometheus text, a deterministic JSON
-// snapshot, and a merged multi-machine Chrome/Perfetto timeline.
+// Package telemetry is the metrics plane of the Aurora reproduction and
+// its only metric store: a typed registry (counters, gauges, log2
+// histograms) keyed to the simulated virtual clock, sampled on a cadence
+// into bounded time-series rings with pair-merge downsampling, aggregated
+// across machines into fleet percentiles, and watched by a declarative
+// SLO engine. Every layer that counts something — device, objstore, sls,
+// net, audit, placement — records here; internal/trace keeps only spans
+// and instants. Exports are Prometheus text, a deterministic JSON
+// snapshot, a text rollup, and (from the tracers) a merged multi-machine
+// Chrome/Perfetto timeline.
 //
 // Determinism is the contract: every accessor iterates metrics in
 // registration order (never map order), so two runs of a seeded scenario
@@ -20,7 +21,6 @@ import (
 	"time"
 
 	"aurora/internal/clock"
-	"aurora/internal/trace"
 )
 
 // Counter is a monotonic total. Nil-safe.
@@ -85,7 +85,7 @@ type Registry struct {
 	corder   []string
 	gauges   map[string]*Gauge
 	gorder   []string
-	hists    map[string]*trace.Histogram
+	hists    map[string]*Histogram
 	horder   []string
 	series   map[string]*Series
 	sorder   []string
@@ -97,7 +97,7 @@ func New(clk clock.Clock) *Registry {
 		clk:      clk,
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*trace.Histogram),
+		hists:    make(map[string]*Histogram),
 		series:   make(map[string]*Series),
 	}
 }
@@ -142,19 +142,50 @@ func (r *Registry) Observe(name string, v int64) {
 		return
 	}
 	r.mu.Lock()
+	r.histLocked(name).Add(v)
+	r.mu.Unlock()
+}
+
+func (r *Registry) histLocked(name string) *Histogram {
 	h := r.hists[name]
 	if h == nil {
-		h = trace.NewHistogram(name)
+		h = NewHistogram(name)
 		r.hists[name] = h
 		r.horder = append(r.horder, name)
 	}
-	h.Add(v)
+	return h
+}
+
+// Family names one layer's metrics for pre-registration.
+type Family struct {
+	Counters, Gauges, Histograms []string
+}
+
+// Register creates every metric of f that does not exist yet, in the
+// listed order. A layer calls it when a registry is attached, so its
+// metrics export (as zeros until touched) in a fixed order whichever
+// goroutine records first — parallel flush workers race to the device,
+// and export order must not depend on the scheduler.
+func (r *Registry) Register(f Family) {
+	if r == nil {
+		return
+	}
+	for _, name := range f.Counters {
+		r.Counter(name)
+	}
+	for _, name := range f.Gauges {
+		r.Gauge(name)
+	}
+	r.mu.Lock()
+	for _, name := range f.Histograms {
+		r.histLocked(name)
+	}
 	r.mu.Unlock()
 }
 
 // HistogramCopy returns a standalone copy of the named histogram for
 // merging, or nil if never observed.
-func (r *Registry) HistogramCopy(name string) *trace.Histogram {
+func (r *Registry) HistogramCopy(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
@@ -164,7 +195,7 @@ func (r *Registry) HistogramCopy(name string) *trace.Histogram {
 	if h == nil {
 		return nil
 	}
-	cp := trace.NewHistogram(name)
+	cp := NewHistogram(name)
 	cp.Merge(h)
 	return cp
 }

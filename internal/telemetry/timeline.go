@@ -72,7 +72,7 @@ func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecon
 
 // WriteFleetChrome merges every machine's timeline into one Chrome/
 // Perfetto trace: one process per machine (pid = position + 1, named),
-// one thread per track, counters on tid 0, and flow arrows binding
+// one thread per track, and flow arrows binding
 // FlowOut spans to their FlowIn counterparts across processes. Output is
 // deterministic for deterministic inputs: machines in slice order,
 // events in collection order, args with sorted keys (encoding/json).
@@ -103,12 +103,8 @@ func WriteFleetChrome(w io.Writer, machines []MachineTimeline) error {
 				fe.Dur = usec(ev.Dur)
 			case trace.KindInstant:
 				fe.Ph = "i"
-			case trace.KindCounter:
-				fe.Ph = "C"
-				fe.Tid = 0
-				fe.Args = map[string]any{"value": ev.Value}
 			}
-			if ev.Kind != trace.KindCounter && (len(ev.Args) > 0 || ev.Parent != 0) {
+			if len(ev.Args) > 0 || ev.Parent != 0 {
 				fe.Args = make(map[string]any, len(ev.Args)+1)
 				for _, a := range ev.Args {
 					// Host-clock diagnostics (the _host_ns convention) vary
@@ -130,24 +126,22 @@ func WriteFleetChrome(w io.Writer, machines []MachineTimeline) error {
 			// Flow phases ride on the same slice: "s" anchored at the end
 			// of the producing span (causality leaves when the work is
 			// done), "f" with bp:"e" at the start of the consuming one.
-			if ev.Kind != trace.KindCounter {
-				for _, a := range ev.Args {
-					id, ok := argID(a.Val)
-					if !ok {
-						continue
-					}
-					switch a.Key {
-					case FlowOut:
-						out = append(out, fleetEvent{
-							Name: "flow", Ph: "s", Pid: pid, Tid: fe.Tid,
-							Ts: usec(ev.Start + ev.Dur), ID: fmt.Sprintf("%d", id),
-						})
-					case FlowIn:
-						out = append(out, fleetEvent{
-							Name: "flow", Ph: "f", Bp: "e", Pid: pid, Tid: fe.Tid,
-							Ts: usec(ev.Start), ID: fmt.Sprintf("%d", id),
-						})
-					}
+			for _, a := range ev.Args {
+				id, ok := argID(a.Val)
+				if !ok {
+					continue
+				}
+				switch a.Key {
+				case FlowOut:
+					out = append(out, fleetEvent{
+						Name: "flow", Ph: "s", Pid: pid, Tid: fe.Tid,
+						Ts: usec(ev.Start + ev.Dur), ID: fmt.Sprintf("%d", id),
+					})
+				case FlowIn:
+					out = append(out, fleetEvent{
+						Name: "flow", Ph: "f", Bp: "e", Pid: pid, Tid: fe.Tid,
+						Ts: usec(ev.Start), ID: fmt.Sprintf("%d", id),
+					})
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"time"
 )
@@ -25,7 +26,7 @@ type chromeEvent struct {
 func usec(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // WriteChrome emits the collected timeline as Chrome trace-event JSON.
-// Each Track becomes a named thread; counters become "C" counter tracks.
+// Each Track becomes a named thread.
 func (t *Tracer) WriteChrome(w io.Writer) error {
 	if t == nil {
 		_, err := io.WriteString(w, "[]\n")
@@ -53,12 +54,8 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 			ce.ID = fmt.Sprintf("%d", ev.ID)
 		case KindInstant:
 			ce.Ph = "i"
-		case KindCounter:
-			ce.Ph = "C"
-			ce.Tid = 0
-			ce.Args = map[string]any{"value": ev.Value}
 		}
-		if ev.Kind != KindCounter && (len(ev.Args) > 0 || ev.Parent != 0) {
+		if len(ev.Args) > 0 || ev.Parent != 0 {
 			ce.Args = make(map[string]any, len(ev.Args)+1)
 			for _, a := range ev.Args {
 				ce.Args[a.Key] = a.Val
@@ -73,28 +70,13 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	return enc.Encode(out)
 }
 
-// Rollup renders a text summary: counters, then histograms with
-// p50/p95/p99, then total span time by name per track.
+// Rollup renders a text summary: total span time by name per track. The
+// metrics of the same run come from the telemetry registry's Rollup.
 func (t *Tracer) Rollup() string {
 	if t == nil {
 		return "trace: disabled\n"
 	}
 	var b strings.Builder
-	counters := t.Counters()
-	if len(counters) > 0 {
-		fmt.Fprintf(&b, "counters:\n")
-		for _, c := range counters {
-			fmt.Fprintf(&b, "  %-28s %d\n", c.Name, c.Total)
-		}
-	}
-	hists := t.Histograms()
-	if len(hists) > 0 {
-		fmt.Fprintf(&b, "histograms:\n")
-		for _, h := range hists {
-			fmt.Fprintf(&b, "  %-28s n=%-6d min=%-10d p50=%-10d p95=%-10d p99=%-10d max=%d\n",
-				h.Name, h.Count, h.Min, h.P50, h.P95, h.P99, h.Max)
-		}
-	}
 	type key struct {
 		track Track
 		name  string
@@ -114,11 +96,11 @@ func (t *Tracer) Rollup() string {
 		counts[k]++
 	}
 	if len(keys) > 0 {
-		sortBy(keys, func(a, b key) bool {
-			if a.track != b.track {
-				return a.track < b.track
+		sort.Slice(keys, func(i, j int) bool {
+			if keys[i].track != keys[j].track {
+				return keys[i].track < keys[j].track
 			}
-			return a.name < b.name
+			return keys[i].name < keys[j].name
 		})
 		fmt.Fprintf(&b, "spans (virtual time):\n")
 		for _, k := range keys {
@@ -149,8 +131,6 @@ func (t *Tracer) TimelineTail(n int) string {
 			fmt.Fprintf(&b, "  %12s +%-10s %-9s %s", ev.Start, ev.Dur, ev.Track.String(), ev.Name)
 		case KindInstant:
 			fmt.Fprintf(&b, "  %12s !          %-9s %s", ev.Start, ev.Track.String(), ev.Name)
-		case KindCounter:
-			fmt.Fprintf(&b, "  %12s C          %-9s %s=%d", ev.Start, "", ev.Name, ev.Value)
 		}
 		for _, a := range ev.Args {
 			fmt.Fprintf(&b, " %s=%v", a.Key, a.Val)

@@ -1,21 +1,20 @@
-package trace
+package trace_test
 
 import (
 	"math"
 	"testing"
 
-	"aurora/internal/clock"
+	"aurora/internal/telemetry"
 )
 
-// Histogram edge cases: the forensic rollups lean on these summaries, so
-// the degenerate shapes (empty, single sample, extreme values) must not
-// produce nonsense numbers.
+// Histogram edge cases (telemetry.Histogram): the forensic rollups lean on
+// these summaries, so the degenerate shapes (empty, single sample, extreme
+// values) must not produce nonsense numbers.
 
 func TestHistogramZeroObservations(t *testing.T) {
 	// A histogram that was allocated but never observed: snapshot must
 	// report all-zero, not the sentinel min (MaxInt64).
-	h := &Histogram{name: "empty", min: int64(^uint64(0) >> 1)}
-	s := h.snapshot()
+	s := telemetry.NewHistogram("empty").Snapshot()
 	if s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("empty snapshot not zeroed: %+v", s)
 	}
@@ -28,10 +27,10 @@ func TestHistogramMaxValueBucket(t *testing.T) {
 	// MaxInt64 lands in the top reachable bucket (bit length 63); the
 	// quantile bucket-midpoint math shifts 1<<63, which overflows int64 —
 	// the clamp into [min, max] must keep the estimate sane.
-	tr := New(clock.NewVirtual())
-	tr.Observe("big", math.MaxInt64)
-	tr.Observe("big", math.MaxInt64)
-	h := tr.Histograms()[0]
+	hist := telemetry.NewHistogram("h")
+	hist.Add(math.MaxInt64)
+	hist.Add(math.MaxInt64)
+	h := hist.Snapshot()
 	if h.Min != math.MaxInt64 || h.Max != math.MaxInt64 {
 		t.Fatalf("min/max: %+v", h)
 	}
@@ -48,9 +47,9 @@ func TestHistogramMaxValueBucket(t *testing.T) {
 }
 
 func TestHistogramNegativeClampsToZero(t *testing.T) {
-	tr := New(clock.NewVirtual())
-	tr.Observe("neg", -12345)
-	h := tr.Histograms()[0]
+	hist := telemetry.NewHistogram("h")
+	hist.Add(-12345)
+	h := hist.Snapshot()
 	if h.Min != 0 || h.Max != 0 || h.P99 != 0 {
 		t.Fatalf("negative observation not clamped: %+v", h)
 	}
@@ -59,9 +58,9 @@ func TestHistogramNegativeClampsToZero(t *testing.T) {
 func TestHistogramP99SingleSample(t *testing.T) {
 	// One sample: every quantile IS that sample — the rank rounds to the
 	// only occupied bucket and the clamp pins the midpoint to the value.
-	tr := New(clock.NewVirtual())
-	tr.Observe("one", 7777)
-	h := tr.Histograms()[0]
+	hist := telemetry.NewHistogram("h")
+	hist.Add(7777)
+	h := hist.Snapshot()
 	if h.P50 != 7777 || h.P95 != 7777 || h.P99 != 7777 {
 		t.Fatalf("single-sample quantiles: %+v", h)
 	}
@@ -70,11 +69,11 @@ func TestHistogramP99SingleSample(t *testing.T) {
 func TestHistogramZeroValueObservation(t *testing.T) {
 	// Observing literal zero occupies bucket 0 (bit length of 0 is 0) and
 	// must round-trip through quantile without the lo = 1<<(i-1) branch.
-	tr := New(clock.NewVirtual())
+	hist := telemetry.NewHistogram("h")
 	for i := 0; i < 10; i++ {
-		tr.Observe("z", 0)
+		hist.Add(0)
 	}
-	h := tr.Histograms()[0]
+	h := hist.Snapshot()
 	if h.Count != 10 || h.P50 != 0 || h.P99 != 0 {
 		t.Fatalf("all-zero summary: %+v", h)
 	}

@@ -1,7 +1,9 @@
-package trace
+package trace_test
 
 import (
 	"testing"
+
+	"aurora/internal/telemetry"
 )
 
 // Merge combines per-machine histograms into fleet percentiles. These
@@ -16,7 +18,7 @@ func TestHistogramQuantileCrossBucketInterpolation(t *testing.T) {
 	// 4..7 (here 4,5,6,7), bucket 4 holds 8..15 (here 12). p50 must land
 	// in the low bucket, p99 in the high one — the rank walk must cross
 	// the bucket boundary, not collapse everything to one midpoint.
-	h := NewHistogram("x")
+	h := telemetry.NewHistogram("x")
 	for _, v := range []int64{4, 5, 6, 7, 12} {
 		h.Add(v)
 	}
@@ -34,11 +36,11 @@ func TestHistogramQuantileCrossBucketInterpolation(t *testing.T) {
 }
 
 func TestHistogramQuantileEmptyAndClamp(t *testing.T) {
-	var empty *Histogram
+	var empty *telemetry.Histogram
 	if got := empty.Quantile(0.99); got != 0 {
 		t.Fatalf("nil histogram quantile = %d, want 0", got)
 	}
-	h := NewHistogram("e")
+	h := telemetry.NewHistogram("e")
 	if got := h.Quantile(0.5); got != 0 {
 		t.Fatalf("empty histogram quantile = %d, want 0", got)
 	}
@@ -52,11 +54,11 @@ func TestHistogramQuantileEmptyAndClamp(t *testing.T) {
 }
 
 func TestHistogramMergeAlgebra(t *testing.T) {
-	a := NewHistogram("fleet")
+	a := telemetry.NewHistogram("fleet")
 	for _, v := range []int64{10, 20, 30} {
 		a.Add(v)
 	}
-	b := NewHistogram("m1")
+	b := telemetry.NewHistogram("m1")
 	for _, v := range []int64{5, 4000} {
 		b.Add(v)
 	}
@@ -71,7 +73,7 @@ func TestHistogramMergeAlgebra(t *testing.T) {
 	// Merging a nil or empty histogram changes nothing.
 	before := a.Snapshot()
 	a.Merge(nil)
-	a.Merge(NewHistogram("empty"))
+	a.Merge(telemetry.NewHistogram("empty"))
 	if a.Snapshot() != before {
 		t.Fatalf("nil/empty merge mutated histogram: %+v vs %+v", a.Snapshot(), before)
 	}
@@ -80,8 +82,8 @@ func TestHistogramMergeAlgebra(t *testing.T) {
 func TestHistogramMergeIntoEmpty(t *testing.T) {
 	// Merging into a fresh histogram must adopt the source min, not keep
 	// the MaxInt64 sentinel.
-	dst := NewHistogram("fleet")
-	src := NewHistogram("m0")
+	dst := telemetry.NewHistogram("fleet")
+	src := telemetry.NewHistogram("m0")
 	src.Add(42)
 	dst.Merge(src)
 	s := dst.Snapshot()
@@ -108,11 +110,11 @@ func TestHistogramMergePropertyBounds(t *testing.T) {
 	rng := lcg(7)
 	for trial := 0; trial < 50; trial++ {
 		machines := int(rng.next()%4) + 2
-		parts := make([]*Histogram, machines)
+		parts := make([]*telemetry.Histogram, machines)
 		for i := range parts {
-			parts[i] = NewHistogram("m")
+			parts[i] = telemetry.NewHistogram("m")
 		}
-		direct := NewHistogram("direct")
+		direct := telemetry.NewHistogram("direct")
 		lo, hi := int64(1)<<62, int64(-1)
 		n := int(rng.next()%200) + 1
 		for i := 0; i < n; i++ {
@@ -126,7 +128,7 @@ func TestHistogramMergePropertyBounds(t *testing.T) {
 				hi = v
 			}
 		}
-		merged := NewHistogram("fleet")
+		merged := telemetry.NewHistogram("fleet")
 		for _, p := range parts {
 			merged.Merge(p)
 		}
@@ -146,21 +148,6 @@ func TestHistogramMergePropertyBounds(t *testing.T) {
 			if dq := direct.Quantile(q); dq != mq {
 				t.Fatalf("trial %d: merged q%.2f=%d differs from direct %d", trial, q, mq, dq)
 			}
-		}
-	}
-}
-
-func TestNewTrackLanes(t *testing.T) {
-	if TrackFleet.String() != "fleet" || TrackAudit.String() != "audit" {
-		t.Fatalf("track names: %q %q", TrackFleet, TrackAudit)
-	}
-	all := Tracks()
-	if len(all) != int(numTracks) {
-		t.Fatalf("Tracks() returned %d lanes, want %d", len(all), numTracks)
-	}
-	for i, tr := range all {
-		if int(tr) != i {
-			t.Fatalf("Tracks()[%d] = %d, want in-order lanes", i, tr)
 		}
 	}
 }

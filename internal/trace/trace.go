@@ -1,10 +1,10 @@
-// Package trace is the observability substrate of the Aurora reproduction:
-// a low-overhead tracing and metrics layer keyed to the simulated virtual
+// Package trace is the timeline half of the Aurora reproduction's
+// observability: a low-overhead tracer keyed to the simulated virtual
 // clock. Subsystems annotate their work with spans (parent/child intervals
-// of virtual time), instant events, monotonic counters, and log-bucketed
-// histograms; the collected timeline exports as Chrome trace-event JSON
-// (chrome://tracing / Perfetto loadable) and as a text rollup with
-// p50/p95/p99 summaries.
+// of virtual time) and instant events; the collected timeline exports as
+// Chrome trace-event JSON (chrome://tracing / Perfetto loadable) and as a
+// per-track text rollup of span time. Metrics — counters, gauges,
+// histograms — live in internal/telemetry's registry, not here.
 //
 // Every entry point is safe on a nil *Tracer and returns immediately, so a
 // subsystem holds a plain pointer and the disabled path costs exactly one
@@ -22,7 +22,6 @@ package trace
 
 import (
 	"fmt"
-	"math/bits"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -101,7 +100,6 @@ type EventKind uint8
 const (
 	KindSpan    EventKind = iota // complete interval [Start, Start+Dur)
 	KindInstant                  // point event
-	KindCounter                  // counter sample (Value = total after update)
 )
 
 // Event is one collected trace record.
@@ -113,13 +111,7 @@ type Event struct {
 	Dur    time.Duration // spans only
 	ID     uint64        // span id (spans only)
 	Parent uint64        // parent span id, 0 for roots
-	Value  int64         // counter samples
 	Args   []Arg
-}
-
-// counter is one monotonic counter.
-type counter struct {
-	total int64
 }
 
 // Tracer collects events against a virtual clock. The zero value is not
@@ -130,19 +122,13 @@ type Tracer struct {
 
 	spanID atomic.Uint64
 
-	mu       sync.Mutex
-	events   []Event
-	counters map[string]*counter
-	hists    map[string]*Histogram
+	mu     sync.Mutex
+	events []Event
 }
 
 // New returns a tracer reading timestamps from clk.
 func New(clk clock.Clock) *Tracer {
-	return &Tracer{
-		clk:      clk,
-		counters: make(map[string]*counter),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Tracer{clk: clk}
 }
 
 // Span is an open interval on a tracer. The zero Span (from a nil tracer)
@@ -156,8 +142,9 @@ type Span struct {
 	start time.Duration
 }
 
-// Begin opens a root span on track at the current virtual time.
-func (t *Tracer) Begin(track Track, name string, args ...Arg) Span {
+// Begin opens a root span on track at the current virtual time. A span
+// carries its args at End, where every path that closes it passes them.
+func (t *Tracer) Begin(track Track, name string) Span {
 	if t == nil {
 		return Span{}
 	}
@@ -171,7 +158,7 @@ func (t *Tracer) Begin(track Track, name string, args ...Arg) Span {
 }
 
 // Child opens a span nested under s, on s's track.
-func (s Span) Child(name string, args ...Arg) Span {
+func (s Span) Child(name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
@@ -181,7 +168,7 @@ func (s Span) Child(name string, args ...Arg) Span {
 }
 
 // ChildOn opens a span nested under s on a different track.
-func (s Span) ChildOn(track Track, name string, args ...Arg) Span {
+func (s Span) ChildOn(track Track, name string) Span {
 	if s.t == nil {
 		return Span{}
 	}
@@ -234,51 +221,6 @@ func (t *Tracer) Instant(track Track, name string, args ...Arg) {
 	t.append(Event{Kind: KindInstant, Track: track, Name: name, Start: t.clk.Now(), Args: args})
 }
 
-// Count adds delta to the named monotonic counter and records a sample.
-func (t *Tracer) Count(name string, delta int64) {
-	if t == nil {
-		return
-	}
-	now := t.clk.Now()
-	t.mu.Lock()
-	c := t.counters[name]
-	if c == nil {
-		c = &counter{}
-		t.counters[name] = c
-	}
-	c.total += delta
-	t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: now, Value: c.total})
-	t.mu.Unlock()
-}
-
-// Gauge records a sample of a momentary value (queue depths, backlogs)
-// without accumulating it.
-func (t *Tracer) Gauge(name string, v int64) {
-	if t == nil {
-		return
-	}
-	now := t.clk.Now()
-	t.mu.Lock()
-	t.events = append(t.events, Event{Kind: KindCounter, Name: name, Start: now, Value: v})
-	t.mu.Unlock()
-}
-
-// Observe adds v to the named histogram (latencies in nanoseconds, depths
-// in counts).
-func (t *Tracer) Observe(name string, v int64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	h := t.hists[name]
-	if h == nil {
-		h = &Histogram{name: name, min: int64(^uint64(0) >> 1)}
-		t.hists[name] = h
-	}
-	h.observe(v)
-	t.mu.Unlock()
-}
-
 func (t *Tracer) append(ev Event) {
 	t.mu.Lock()
 	t.events = append(t.events, ev)
@@ -293,196 +235,4 @@ func (t *Tracer) Events() []Event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
-}
-
-// CounterValue returns the named counter's total (0 if never touched).
-func (t *Tracer) CounterValue(name string) int64 {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c := t.counters[name]; c != nil {
-		return c.total
-	}
-	return 0
-}
-
-// Histogram is a log2-bucketed distribution: bucket i holds values whose
-// bit length is i, so relative error is bounded by 2x — plenty for
-// latency rollups spanning nanoseconds to seconds.
-type Histogram struct {
-	name    string
-	count   int64
-	sum     int64
-	min     int64
-	max     int64
-	buckets [65]int64
-}
-
-// NewHistogram returns an empty standalone histogram — the same log2
-// bucketing the tracer uses, constructible outside a Tracer so telemetry
-// registries and fleet aggregation share one quantile implementation.
-func NewHistogram(name string) *Histogram {
-	return &Histogram{name: name, min: int64(^uint64(0) >> 1)}
-}
-
-// Name returns the histogram's name.
-func (h *Histogram) Name() string { return h.name }
-
-// Add records one observation. Negative values clamp to zero, matching
-// the tracer's Observe path.
-func (h *Histogram) Add(v int64) { h.observe(v) }
-
-// Samples returns the observation count.
-func (h *Histogram) Samples() int64 { return h.count }
-
-// Quantile returns the bucket-midpoint estimate for q in [0, 1], clamped
-// into [min, max]. An empty histogram reports 0.
-func (h *Histogram) Quantile(q float64) int64 {
-	if h == nil || h.count == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	return h.quantile(q)
-}
-
-// Merge folds o into h: counts, sums, and buckets add; min/max widen.
-// Because both sides bucket by bit length, merged quantiles stay within
-// the same 2x relative-error bound and are always bounded by the inputs'
-// combined [min, max] envelope. A nil or empty o is a no-op.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	if h.count == 0 || o.min < h.min {
-		h.min = o.min
-	}
-	if o.max > h.max {
-		h.max = o.max
-	}
-	h.count += o.count
-	h.sum += o.sum
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
-	}
-}
-
-// Snapshot returns the read-only summary (count, sum, min/max, p50/95/99).
-func (h *Histogram) Snapshot() HistSnapshot { return h.snapshot() }
-
-func (h *Histogram) observe(v int64) {
-	if v < 0 {
-		v = 0
-	}
-	h.count++
-	h.sum += v
-	if v < h.min {
-		h.min = v
-	}
-	if v > h.max {
-		h.max = v
-	}
-	h.buckets[bits.Len64(uint64(v))]++
-}
-
-// HistSnapshot is a read-only summary of one histogram.
-type HistSnapshot struct {
-	Name          string
-	Count         int64
-	Sum           int64
-	Min, Max      int64
-	P50, P95, P99 int64
-}
-
-func (h *Histogram) snapshot() HistSnapshot {
-	s := HistSnapshot{Name: h.name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max}
-	if h.count == 0 {
-		s.Min = 0
-		return s
-	}
-	s.P50 = h.quantile(0.50)
-	s.P95 = h.quantile(0.95)
-	s.P99 = h.quantile(0.99)
-	return s
-}
-
-// quantile returns an estimate bounded by the true bucket: the bucket
-// midpoint, clamped into [min, max].
-func (h *Histogram) quantile(q float64) int64 {
-	rank := int64(q * float64(h.count))
-	if rank >= h.count {
-		rank = h.count - 1
-	}
-	var seen int64
-	for i, n := range h.buckets {
-		seen += n
-		if seen > rank {
-			lo := int64(0)
-			if i > 0 {
-				lo = int64(1) << (i - 1)
-			}
-			hi := int64(1)<<i - 1
-			mid := lo + (hi-lo)/2
-			if mid < h.min {
-				mid = h.min
-			}
-			if mid > h.max {
-				mid = h.max
-			}
-			return mid
-		}
-	}
-	return h.max
-}
-
-// Histograms returns snapshots of every histogram, sorted by name.
-func (t *Tracer) Histograms() []HistSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]HistSnapshot, 0, len(t.hists))
-	for _, h := range t.hists {
-		out = append(out, h.snapshot())
-	}
-	sortBy(out, func(a, b HistSnapshot) bool { return a.Name < b.Name })
-	return out
-}
-
-// Counters returns name/total pairs sorted by name.
-func (t *Tracer) Counters() []CounterSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]CounterSnapshot, 0, len(t.counters))
-	for name, c := range t.counters {
-		out = append(out, CounterSnapshot{Name: name, Total: c.total})
-	}
-	sortBy(out, func(a, b CounterSnapshot) bool { return a.Name < b.Name })
-	return out
-}
-
-// CounterSnapshot is one counter's final total.
-type CounterSnapshot struct {
-	Name  string
-	Total int64
-}
-
-// sortBy is an insertion sort — snapshot lists are small and this keeps
-// the package dependency-free.
-func sortBy[T any](s []T, less func(a, b T) bool) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && less(s[j], s[j-1]); j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
-	}
 }
