@@ -171,7 +171,7 @@ func BenchmarkTable7(b *testing.B) {
 
 // buildShadowed creates a map with a large base, one dirty page, and a
 // frozen shadow ready to collapse.
-func buildShadowed(b *testing.B, basePages int) (*aurora.Machine, []vm.ShadowPair) {
+func buildShadowed(b testing.TB, basePages int) (*aurora.Machine, []vm.ShadowPair) {
 	b.Helper()
 	m, err := aurora.NewMachine(aurora.Defaults())
 	if err != nil {
@@ -219,6 +219,24 @@ func BenchmarkAblationCollapseLegacy(b *testing.B) {
 		moved := vm.CollapseFlushed(pairs[0].Live, pairs[0].Frozen, vm.CollapseForwardLegacy)
 		b.ReportMetric(float64(moved), "pages-moved")
 		b.ReportMetric(float64((m.Clock.Now() - before).Nanoseconds()), "virtual-ns")
+	}
+}
+
+// TestAblationCollapseVirtualCost pins the virtual-ns the two ablation
+// benchmarks report: CollapseFlushed charges one CollapsePerPage per page
+// moved, inline, in either direction.
+func TestAblationCollapseVirtualCost(t *testing.T) {
+	for _, c := range []struct {
+		policy vm.CollapsePolicy
+		moved  int
+		ns     int64
+	}{{vm.CollapseReverse, 1, 120}, {vm.CollapseForwardLegacy, 4096, 491520}} {
+		m, pairs := buildShadowed(t, 4096)
+		before := m.Clock.Now()
+		moved := vm.CollapseFlushed(pairs[0].Live, pairs[0].Frozen, c.policy)
+		if ns := (m.Clock.Now() - before).Nanoseconds(); moved != c.moved || ns != c.ns {
+			t.Errorf("policy %d: moved %d pages in %d virtual ns, want %d in %d", c.policy, moved, ns, c.moved, c.ns)
+		}
 	}
 }
 

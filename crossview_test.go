@@ -70,8 +70,8 @@ func TestCrossViewConsistency(t *testing.T) {
 	pre, m, ckptSubmits := crossViewRun(t)
 	reg := m.Metrics
 
-	var stopSum time.Duration
-	var devWrites, devReads int64
+	var stopSum, collapseSum time.Duration
+	var devWrites, devReads, collapsePages int64
 	for _, ev := range m.Tracer.Events() {
 		if ev.Kind != trace.KindSpan {
 			continue
@@ -79,6 +79,13 @@ func TestCrossViewConsistency(t *testing.T) {
 		switch {
 		case ev.Track == trace.TrackSLS && ev.Name == "stop":
 			stopSum += ev.Dur
+		case ev.Track == trace.TrackSLS && ev.Name == "collapse":
+			collapseSum += ev.Dur
+			for _, a := range ev.Args {
+				if a.Key == "pages" {
+					collapsePages += a.Val.(int64)
+				}
+			}
 		case ev.Track == trace.TrackDevice && strings.HasPrefix(ev.Name, "dev.write"):
 			devWrites++
 		case ev.Track == trace.TrackDevice && ev.Name == "dev.read":
@@ -89,6 +96,14 @@ func TestCrossViewConsistency(t *testing.T) {
 	if stop.Count == 0 || time.Duration(stop.Sum) != stopSum {
 		t.Errorf("stop spans sum to %v; sls.stop.ns sums to %v over %d samples",
 			stopSum, time.Duration(stop.Sum), stop.Count)
+	}
+	collapse := reg.HistogramCopy("sls.collapse.ns").Snapshot()
+	if collapse.Count == 0 || time.Duration(collapse.Sum) != collapseSum {
+		t.Errorf("collapse spans sum to %v; sls.collapse.ns sums to %v over %d samples",
+			collapseSum, time.Duration(collapse.Sum), collapse.Count)
+	}
+	if c := reg.Counter("sls.collapse.pages").Value(); c == 0 || c != collapsePages {
+		t.Errorf("collapse spans carry %d pages; sls.collapse.pages = %d", collapsePages, c)
 	}
 
 	var ends int64

@@ -247,7 +247,9 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 
 	// VM rules: every mapped object must be alive and referenced; shadow
 	// chains must terminate; dirty PTEs must be writable and point at live
-	// objects.
+	// objects; a live translation must map the frame its entry's object
+	// resolves (checked under the kernel lock, so no fault or collapse
+	// moves a page mid-compare).
 	r.Rules++
 	for _, p := range procs {
 		if p.Exited() || p.Mem == nil {
@@ -267,7 +269,10 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 			}
 			a.auditChain(r, p, e.Obj, add)
 		}
-		p.Mem.AuditPTEs(func(va uint64, pte vm.PTE, obj *vm.Object) {
+		if a.K != nil {
+			a.K.Gate.Enter()
+		}
+		p.Mem.AuditPTEs(func(va uint64, pte vm.PTE, obj *vm.Object, stale bool) {
 			if pte.Page == nil {
 				add("vm.pte", "proc %d pte %#x has nil page", p.LocalPID, va)
 			}
@@ -277,7 +282,13 @@ func (a *Auditor) auditGroup(r *Report, g *sls.Group, add func(rule, format stri
 			if obj != nil && obj.Dead() {
 				add("vm.pte", "proc %d pte %#x installed from dead object %d", p.LocalPID, va, obj.ID)
 			}
+			if stale {
+				add("vm.pte", "proc %d pte %#x maps a frame its entry's object no longer resolves: stale translation", p.LocalPID, va)
+			}
 		})
+		if a.K != nil {
+			a.K.Gate.Exit()
+		}
 	}
 }
 

@@ -387,3 +387,78 @@ func TestOSCleanCatchesSkippedBump(t *testing.T) {
 		t.Fatalf("audit after the bumping mutator:\n%s", rep)
 	}
 }
+
+// TestPTECoherenceAfterSharedWrite: after a checkpoint, a process reading
+// a MAP_SHARED page installs a translation of the frozen frame; its
+// sibling's copy-on-write of the page must retire that translation. The
+// vm.pte coherence rule sees a stale one as a live translation mapping a
+// frame the entry's object no longer resolves.
+func TestPTECoherenceAfterSharedWrite(t *testing.T) {
+	w := newWorld(t)
+	a := w.k.NewProc("a")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(a); err != nil {
+		t.Fatal(err)
+	}
+	va, err := a.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a.Fork()
+	a.WriteMem(va, []byte("old"))
+	if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, 3)
+	b.ReadMem(va, got)
+	a.WriteMem(va, []byte("new"))
+	aud := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	if rep := aud.Run(); !rep.OK() {
+		t.Fatalf("audit after the shared write:\n%s", rep)
+	}
+	b.ReadMem(va, got)
+	if string(got) != "new" {
+		t.Fatalf("b reads %q, want \"new\"", got)
+	}
+}
+
+// TestCleanAcrossSteadyStateCollapses: checkpoints every interval with
+// forked, shared, and private memory; after each the chains stay at two
+// links and every rule family holds.
+func TestCleanAcrossSteadyStateCollapses(t *testing.T) {
+	w := newWorld(t)
+	a := w.k.NewProc("a")
+	g := w.o.CreateGroup("app")
+	if err := g.Attach(a); err != nil {
+		t.Fatal(err)
+	}
+	priv, _ := a.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, false)
+	shared, _ := a.Mmap(1<<20, vm.ProtRead|vm.ProtWrite, true)
+	b := a.Fork()
+	aud := &Auditor{Store: w.store, K: w.k, O: w.o, Clk: w.clk}
+	buf := make([]byte, 8)
+	for i := 0; i < 12; i++ {
+		for pg := 0; pg < 16; pg++ {
+			off := uint64((pg+i)%32) * vm.PageSize
+			a.WriteMem(priv+off, []byte{byte(i)})
+			b.ReadMem(shared+off, buf)
+			a.WriteMem(shared+off, []byte{byte(i)})
+			b.ReadMem(shared+off, buf)
+			if buf[0] != byte(i) {
+				t.Fatalf("interval %d page %d: b reads %d through the shared mapping, want %d", i, pg, buf[0], i)
+			}
+		}
+		if _, err := g.Checkpoint(sls.CkptIncremental); err != nil {
+			t.Fatal(err)
+		}
+		if rep := aud.Run(); !rep.OK() {
+			t.Fatalf("checkpoint %d:\n%s", i+1, rep)
+		}
+		for _, p := range []*kern.Proc{a, b} {
+			ent, _ := p.Mem.EntryAt(shared)
+			if n := ent.Obj.ChainLength(); n > 2 {
+				t.Fatalf("checkpoint %d: pid %d shared chain length %d, want <= 2", i+1, p.LocalPID, n)
+			}
+		}
+	}
+}

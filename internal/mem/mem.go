@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // PageSize is the frame size, matching the x86-64 base page.
@@ -68,10 +69,22 @@ type Page struct {
 	Backed bool
 
 	queue Queue
+	// gen counts events that may leave a translation of this frame stale:
+	// a copy-on-write fault copying it up into a shadow (the copy hides it
+	// from every view through that shadow), and a Free (the frame may be
+	// reused for other data). Page tables record it at install time.
+	gen atomic.Uint64
 }
 
 // Queue reports which paging queue the page occupies.
 func (p *Page) Queue() Queue { return p.queue }
+
+// Gen returns the frame's generation.
+func (p *Page) Gen() uint64 { return p.gen.Load() }
+
+// Supersede bumps the frame's generation: translations installed before
+// the call no longer vouch for it and must be revalidated before use.
+func (p *Page) Supersede() { p.gen.Add(1) }
 
 // Copy copies src's contents into p and marks p dirty.
 func (p *Page) Copy(src *Page) {
@@ -166,6 +179,7 @@ func (pm *PhysMem) Free(p *Page) {
 		pm.wired--
 		p.Wired = 0
 	}
+	p.Supersede()
 	pm.used--
 	pm.free = append(pm.free, p)
 }

@@ -51,9 +51,8 @@ func (g *Group) MemCkpt(p *kern.Proc, va uint64) (MemCkptStats, error) {
 	o.K.Gate.Stop()
 	o.Clk.Advance(o.Costs.AtomicFloor)
 	pairs := vm.SystemShadow(o.K.VM, []*vm.Map{p.Mem}, nil)
-	// Keep only the pair covering this entry's chain; other objects in
-	// the map were shadowed too (they share the address space walk) and
-	// remain transient until the next full checkpoint collapses them.
+	// Every writable object in the map was shadowed (they share the
+	// address space walk); all of them flush and collapse below.
 	for _, pair := range pairs {
 		g.transient[pair.Live] = true
 	}
@@ -70,10 +69,10 @@ func (g *Group) MemCkpt(p *kern.Proc, va uint64) (MemCkptStats, error) {
 		return st, err
 	}
 	st.FlushBytes = res.bytes
-	g.pending = append(g.pending, pairs...)
 	for _, pair := range pairs {
 		st.Pages += int64(pair.Frozen.Pages())
 	}
+	g.collapseFlushed(pairs, o.Store.PendingDurable())
 	return st, nil
 }
 

@@ -22,16 +22,18 @@ import (
 //  1. Wait for the previous checkpoint's flush (Aurora never overlaps two),
 //     then release externally-synchronized messages it covered.
 //  2. Quiesce the system at the kernel boundary.
-//  3. Collapse the previous interval's fully-flushed system shadows
-//     (Aurora's reversed collapse, bounding chains at length two).
-//  4. Serialize every POSIX object reachable from the group — each into
+//  3. Serialize every POSIX object reachable from the group — each into
 //     its own on-disk object, sharing preserved by construction. Objects
 //     whose generation has not moved since their last record keep it (the
 //     store is copy-on-write, so that record carries into the new epoch).
-//  5. System-shadow all writable memory.
-//  6. Resume the applications. Everything after this overlaps execution.
-//  7. Flush the frozen shadows' pages into their objects' on-disk pages.
-//  8. Commit the store checkpoint (the superblock is the atomic cut).
+//  4. System-shadow all writable memory.
+//  5. Resume the applications. Everything after this overlaps execution.
+//  6. Flush the frozen shadows' pages into their objects' on-disk pages.
+//  7. Commit the store checkpoint (the superblock is the atomic cut).
+//  8. Collapse the flushed shadows into their backers (Aurora's reversed
+//     collapse, bounding chains at length two). It holds the kernel lock,
+//     not the stop window: its cost is a background window that starts
+//     once the commit is durable, and faults inside it contend with it.
 
 // Entry kinds in serialized address-space records.
 const (
@@ -95,39 +97,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	stop := clock.StartStopwatch(o.Clk)
 	o.K.Quiesce()
 	o.Clk.Advance(o.Costs.CheckpointFloor)
-
-	// 2. Collapse previous shadows (their flush completed above). A
-	// shadow frozen by a mem-only checkpoint still holds dirty pages —
-	// collapsing it would bury unflushed data in the base, so it stays
-	// mid-chain where the next committing checkpoint's trapped-transient
-	// flush picks it up.
-	for _, pair := range g.pending {
-		frozen := pair.Frozen
-		if !g.transient[frozen] {
-			continue
-		}
-		clean := true
-		frozen.EachPage(func(pg int64, p *mem.Page) {
-			if p.Dirty {
-				clean = false
-			}
-		})
-		if clean && frozen.ShadowCount() == 1 && pair.Live.Backer() == frozen && frozen.Backer() != nil {
-			backer := frozen.Backer()
-			vm.CollapseAurora(pair.Live, frozen)
-			// Pages moved into the backer with their identity intact;
-			// PTEs installed from the dying shadow (read faults served
-			// mid-chain last interval) follow them.
-			for _, m := range g.Maps() {
-				m.ReownPTEs(frozen, backer)
-			}
-			delete(g.transient, frozen)
-		}
-		// Multi-shadow (fork mid-interval), baseless, or unflushed
-		// objects stay in the chain; their pages either were already
-		// flushed to the persistent root or will be by flushTrapped.
-	}
-	g.pending = nil
 
 	if kind != CkptMemOnly {
 		// ES: everything held up to this cut is covered by this
@@ -221,9 +190,9 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	st.StopTime = stop.Elapsed()
 
 	if kind == CkptMemOnly {
-		// In-memory capture only: keep the shadows for the next pass but
-		// skip the store entirely.
-		g.pending = pairs
+		// In-memory capture only: skip the store entirely. The frozen
+		// shadows stay mid-chain, dirty, until the next committing
+		// checkpoint flushes them as trapped transients.
 		g.lastCkpt = o.Clk.Now()
 		g.ckpts++
 		ckptSpan.End(kindArg)
@@ -231,7 +200,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		return st, nil
 	}
 
-	// 5–7. Flush memory through the pipeline (flush.go) and commit. Cold
+	// 6. Flush memory through the pipeline (flush.go) and commit. Cold
 	// objects — persistent objects serialized but never flushed (read-only
 	// regions no shadow covers) — join the same pool.
 	plan := newFlushPlan()
@@ -258,7 +227,6 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	st.WriteTime = res.write
 	st.FlushWorkers = res.workers
 	st.MaxQueueDepth = res.maxDepth
-	g.pending = pairs
 
 	// Delete store objects that vanished since the last checkpoint, in
 	// ascending-OID order (map iteration would randomize the metadata
@@ -275,7 +243,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 	}
 	g.prevLive = ser.live
 
-	// 8a. WAL-first commit: the cut is one CRC-framed delta append ordered
+	// 7a. WAL-first commit: the cut is one CRC-framed delta append ordered
 	// behind the interval's flushed writes, not a new epoch. The epoch —
 	// and with it history retention — does not advance; a later fold
 	// absorbs the frames. A full ring degrades to the fold below, which
@@ -297,6 +265,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 				tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
 					trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
 			}
+			g.collapseFlushed(pairs, st.DurableAt)
 			ckptSpan.End(kindArg, trace.I("epoch", int64(st.Epoch)), trace.I("wal_seq", int64(st.WALSeq)))
 			o.recordCheckpointMetrics(st, true)
 			return st, nil
@@ -325,6 +294,7 @@ func (g *Group) Checkpoint(kind CheckpointKind) (CheckpointStats, error) {
 		tr.Range(trace.TrackSLS, "durable.window", o.Clk.Now(), st.DurableAt,
 			trace.I("epoch", int64(st.Epoch)))
 	}
+	g.collapseFlushed(pairs, st.DurableAt)
 	ckptSpan.End(kindArg, trace.I("epoch", int64(st.Epoch)))
 	o.recordCheckpointMetrics(st, false)
 
@@ -360,6 +330,54 @@ func (o *Orchestrator) recordCheckpointMetrics(st CheckpointStats, wal bool) {
 			reg.Observe("sls.wal.window.ns", int64(window))
 		}
 	}
+}
+
+// collapseFlushed merges each flushed frozen shadow in pairs down into its
+// backer (step 8). A shadow still holding dirty pages, one a fork left with
+// a second shadow above it, and a base with no backer stay in the chain:
+// their pages either already reached the persistent root or will as
+// trapped transients. The collapse holds the kernel lock so no application
+// thread walks a half-collapsed chain, and charges no time to the caller:
+// its cost becomes a background window starting at durableAt, or when the
+// previous window ends, during which faults pay FaultContention.
+func (g *Group) collapseFlushed(pairs []vm.ShadowPair, durableAt time.Duration) {
+	o := g.o
+	var pages int
+	var cost time.Duration
+	o.K.Gate.Enter()
+	for _, pair := range pairs {
+		frozen := pair.Frozen
+		if !g.transient[frozen] {
+			continue
+		}
+		clean := true
+		frozen.EachPage(func(pg int64, p *mem.Page) {
+			if p.Dirty {
+				clean = false
+			}
+		})
+		if !clean || frozen.ShadowCount() != 1 || pair.Live.Backer() != frozen || frozen.Backer() == nil {
+			continue
+		}
+		backer := frozen.Backer()
+		n, c := vm.CollapseAurora(pair.Live, frozen)
+		// Pages moved into the backer with their identity intact; PTEs
+		// installed from the dying shadow follow them.
+		for _, m := range g.Maps() {
+			m.ReownPTEs(frozen, backer)
+		}
+		delete(g.transient, frozen)
+		pages += n
+		cost += c
+	}
+	o.K.Gate.Exit()
+	if pages == 0 {
+		return
+	}
+	start, end := o.collapseWindow(durableAt, cost)
+	o.tr.Range(trace.TrackSLS, "collapse", start, end, trace.I("pages", int64(pages)))
+	o.reg.Counter("sls.collapse.pages").Add(int64(pages))
+	o.reg.Observe("sls.collapse.ns", int64(cost))
 }
 
 // Barrier waits until the group's last checkpoint is durable and releases

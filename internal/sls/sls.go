@@ -155,6 +155,13 @@ type Orchestrator struct {
 	groups    map[uint64]*Group
 	nextGroup uint64
 
+	// Background collapse windows, machine-wide: each starts no earlier
+	// than the previous one ends, so the list stays in start order.
+	// Faults consult it from whatever goroutine runs the process.
+	collapseMu   sync.Mutex
+	collapseWins []window // not yet over
+	collapseEnd  time.Duration
+
 	// recvState tracks, per replicated group, the epoch and live-OID set of
 	// the last checkpoint stream applied here — the receive-side contract
 	// that validates delta streams (see sendrecv.go).
@@ -175,14 +182,42 @@ func New(k *kern.Kernel, store *objstore.Store) *Orchestrator {
 	store.Ensure(ManifestOID, UTManifest)
 	k.ES = o
 	// Faults contend with in-flight flush/collapse work on VM object
-	// locks (§6); charge the extra while the store has writes in flight.
+	// locks (§6); charge the extra while the store has writes in flight
+	// or a collapse window is open.
 	k.VM.ContentionExtra = func() time.Duration {
-		if store.PendingDurable() > k.Clk.Now() {
+		now := k.Clk.Now()
+		if store.PendingDurable() > now || o.collapsing(now) {
 			return k.Costs.FaultContention
 		}
 		return 0
 	}
 	return o
+}
+
+// window is a half-open interval of virtual time.
+type window struct{ start, end time.Duration }
+
+// collapseWindow schedules a background collapse costing cost: it starts
+// at from or when the previous window ends, whichever is later.
+func (o *Orchestrator) collapseWindow(from, cost time.Duration) (start, end time.Duration) {
+	o.collapseMu.Lock()
+	defer o.collapseMu.Unlock()
+	start = max(from, o.collapseEnd)
+	end = start + cost
+	o.collapseEnd = end
+	o.collapseWins = append(o.collapseWins, window{start, end})
+	return start, end
+}
+
+// collapsing reports whether now falls inside a collapse window, dropping
+// the windows already over.
+func (o *Orchestrator) collapsing(now time.Duration) bool {
+	o.collapseMu.Lock()
+	defer o.collapseMu.Unlock()
+	for len(o.collapseWins) > 0 && o.collapseWins[0].end <= now {
+		o.collapseWins = o.collapseWins[1:]
+	}
+	return len(o.collapseWins) > 0 && o.collapseWins[0].start <= now
 }
 
 // Instrument attaches a tracer and a metrics registry (either may be nil;
@@ -193,11 +228,11 @@ func (o *Orchestrator) Instrument(tr *trace.Tracer, reg *telemetry.Registry) {
 	o.tr, o.reg = tr, reg
 	reg.Register(telemetry.Family{
 		Counters: []string{"sls.ckpt.total", "sls.wal.commits", "sls.dirty_pages", "sls.flush_bytes",
-			"sls.restores", "sls.pagein.faults", "sls.pagein.bytes", "sls.swapin.faults", "sls.swapin.bytes",
+			"sls.collapse.pages", "sls.restores", "sls.pagein.faults", "sls.pagein.bytes", "sls.swapin.faults", "sls.swapin.bytes",
 			"sls.spec.faults", "sls.spec.validated_pages", "sls.spec.rollbacks",
 			"sls.replica.syncs", "sls.replica.bytes"},
 		Histograms: []string{"sls.stop.ns", "sls.durable.window.ns", "sls.wal.window.ns",
-			"sls.restore.ttfo.ns", "sls.replica.lag.ns"},
+			"sls.collapse.ns", "sls.restore.ttfo.ns", "sls.replica.lag.ns"},
 	})
 }
 
@@ -249,7 +284,6 @@ type Group struct {
 	transient   map[*vm.Object]bool
 	flushed     map[objstore.OID]bool
 	trappedDone map[*vm.Object]bool
-	pending     []vm.ShadowPair // shadows being flushed (collapse next time)
 
 	// mctl exclusions: entry start addresses excluded per process.
 	excluded map[*kern.Proc]map[uint64]bool

@@ -50,7 +50,8 @@ type PTE struct {
 	Writable bool
 	Dirty    bool
 	Accessed bool
-	obj      *Object // the object owning Page when it was installed
+	obj      *Object // the entry's object when the PTE was installed
+	gen      uint64  // Page's generation when the PTE was installed
 }
 
 // Map is an address space: the entry list plus the physical map (page
@@ -102,7 +103,11 @@ func (m *Map) ResidentBytes() int64 {
 // virtual-address order, with the owning object recorded at install time.
 // For the invariant auditor: it needs the PTE->object association (private
 // elsewhere) to cross-check dirty bits and residency against the objects.
-func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object)) {
+// stale marks a live translation — installed for the entry's current
+// object, frame not superseded since — that maps a frame other than the
+// one the entry's object resolves: the hit path would serve it without a
+// fault, so it is a stale read or a lost write. No virtual time is charged.
+func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object, stale bool)) {
 	m.mu.Lock()
 	vas := make([]uint64, 0, len(m.ptes))
 	for va := range m.ptes {
@@ -110,18 +115,24 @@ func (m *Map) AuditPTEs(fn func(va uint64, pte PTE, obj *Object)) {
 	}
 	sort.Slice(vas, func(i, j int) bool { return vas[i] < vas[j] })
 	type ent struct {
-		va  uint64
-		pte PTE
-		obj *Object
+		va    uint64
+		pte   PTE
+		obj   *Object
+		stale bool
 	}
 	ents := make([]ent, 0, len(vas))
 	for _, va := range vas {
 		p := m.ptes[va]
-		ents = append(ents, ent{va, *p, p.obj})
+		stale := false
+		if e := m.findEntry(va); e != nil && p.obj == e.Obj && p.Page != nil && p.Page.Gen() == p.gen {
+			resolved, _ := e.Obj.Lookup(e.pageIndex(va))
+			stale = resolved != p.Page
+		}
+		ents = append(ents, ent{va, *p, p.obj, stale})
 	}
 	m.mu.Unlock()
 	for _, e := range ents {
-		fn(e.va, e.pte, e.obj)
+		fn(e.va, e.pte, e.obj, e.stale)
 	}
 }
 
@@ -275,7 +286,7 @@ func (m *Map) Fault(va uint64, write bool) (*mem.Page, error) {
 	}
 	m.vm.Clk.Advance(m.vm.Costs.PageInstall)
 	m.mu.Lock()
-	pte := &PTE{Page: p, Writable: write, Accessed: true, Dirty: write, obj: obj}
+	pte := &PTE{Page: p, Writable: write, Accessed: true, Dirty: write, obj: obj, gen: p.Gen()}
 	m.ptes[base] = pte
 	m.mu.Unlock()
 	p.Referenced = true
@@ -300,6 +311,16 @@ func (m *Map) pteFor(base uint64, write bool) *PTE {
 	if e == nil || pte.obj != e.Obj {
 		delete(m.ptes, base)
 		return nil
+	}
+	// A superseded frame may no longer be what the entry resolves to: a
+	// COW fault through another map sharing the object copied it up, or
+	// it was freed. Keep the translation only if the chain still yields it.
+	if gen := pte.Page.Gen(); gen != pte.gen {
+		if p, _ := e.Obj.Lookup(e.pageIndex(base)); p != pte.Page {
+			delete(m.ptes, base)
+			return nil
+		}
+		pte.gen = gen
 	}
 	return pte
 }

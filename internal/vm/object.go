@@ -422,6 +422,9 @@ func (o *Object) GetPage(pg int64, forWrite bool) (*mem.Page, error) {
 	if src != nil {
 		o.vm.Clk.Advance(o.vm.Costs.MemCopyPerPage)
 		p.Copy(src)
+		// Other maps sharing o may hold read translations of src; the
+		// copy hides it from them.
+		src.Supersede()
 	}
 	o.mu.Lock()
 	if exist, ok := o.pages[pg]; ok {
@@ -549,8 +552,9 @@ func (o *Object) EachPage(fn func(pg int64, p *mem.Page)) {
 // short-lived shadow rather than the (many) pages of the parent. Callers
 // must ensure o has exactly one shadow above it holding the live mapping;
 // that shadow's backer pointer is rewired to o's backer. It returns the
-// number of pages moved.
-func CollapseAurora(top, o *Object) int {
+// number of pages moved and their cost; charging it is the caller's job,
+// since the collapse runs off the application's critical path.
+func CollapseAurora(top, o *Object) (int, time.Duration) {
 	if top.Backer() != o {
 		panic("vm: CollapseAurora: top does not shadow o")
 	}
@@ -565,18 +569,18 @@ func CollapseAurora(top, o *Object) int {
 	o.mu.Unlock()
 	for pg, p := range pages {
 		backer.InsertPage(pg, p)
-		o.vm.Clk.Advance(o.vm.Costs.CollapsePerPage)
 		moved++
 	}
 	unlink(top, o, backer)
-	return moved
+	return moved, time.Duration(moved) * o.vm.Costs.CollapsePerPage
 }
 
 // CollapseLegacy merges the backer of o upward into o by copying the
 // backer's pages into o where o has none — the original Mach direction,
 // linear in the parent's resident pages. Used by the ablation benchmark.
-// top is the live shadow above o. It returns the number of pages moved.
-func CollapseLegacy(top, o *Object) int {
+// top is the live shadow above o. It returns the number of pages moved and
+// their cost, uncharged like CollapseAurora's.
+func CollapseLegacy(top, o *Object) (int, time.Duration) {
 	if top.Backer() != o {
 		panic("vm: CollapseLegacy: top does not shadow o")
 	}
@@ -603,7 +607,6 @@ func CollapseLegacy(top, o *Object) int {
 			o.pages[pg] = p
 			o.mu.Unlock()
 		}
-		o.vm.Clk.Advance(o.vm.Costs.CollapsePerPage)
 		moved++
 	}
 	// o now absorbs the backer: it inherits the backer's backer.
@@ -618,7 +621,7 @@ func CollapseLegacy(top, o *Object) int {
 		old.mu.Unlock()
 		old.Deref()
 	}
-	return moved
+	return moved, time.Duration(moved) * o.vm.Costs.CollapsePerPage
 }
 
 // unlink removes o from the chain top -> o -> backer, transferring the

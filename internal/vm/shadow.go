@@ -136,11 +136,16 @@ const (
 )
 
 // CollapseFlushed collapses the frozen object of a pair into its backer
-// once its flush completed, bounding the chain at length two. top must be
-// the current live shadow above frozen. It returns pages moved.
+// once its flush completed, bounding the chain at length two, and charges
+// the collapse to the clock inline — the ablation's view of one collapse in
+// isolation. top must be the current live shadow above frozen. It returns
+// pages moved.
 func CollapseFlushed(top, frozen *Object, policy CollapsePolicy) int {
+	collapse := CollapseAurora
 	if policy == CollapseForwardLegacy {
-		return CollapseLegacy(top, frozen)
+		collapse = CollapseLegacy
 	}
-	return CollapseAurora(top, frozen)
+	moved, cost := collapse(top, frozen)
+	frozen.vm.Clk.Advance(cost)
+	return moved
 }

@@ -356,7 +356,7 @@ func TestCollapseAuroraMovesShadowPagesDown(t *testing.T) {
 	}
 
 	// S1 flushed: collapse it into base, Aurora direction.
-	moved := CollapseAurora(s2, s1)
+	moved, _ := CollapseAurora(s2, s1)
 	if moved != 1 {
 		t.Fatalf("moved %d pages, want 1 (only the dirty page)", moved)
 	}
@@ -389,7 +389,7 @@ func TestCollapseLegacyMovesParentPagesUp(t *testing.T) {
 	pairs := SystemShadow(sys, []*Map{m}, nil)
 	s1, s2 := pairs[0].Frozen, pairs[0].Live
 
-	moved := CollapseLegacy(s2, s1)
+	moved, _ := CollapseLegacy(s2, s1)
 	if moved != 8 {
 		t.Fatalf("legacy collapse moved %d pages, want 8 (all of base)", moved)
 	}
@@ -423,11 +423,11 @@ func TestCollapseCostAsymmetry(t *testing.T) {
 	}
 	sys, m, _ := build()
 	pairs := SystemShadow(sys, []*Map{m}, nil)
-	aurora := CollapseAurora(pairs[0].Live, pairs[0].Frozen)
+	aurora, _ := CollapseAurora(pairs[0].Live, pairs[0].Frozen)
 
 	sys2, m2, _ := build()
 	pairs2 := SystemShadow(sys2, []*Map{m2}, nil)
-	legacy := CollapseLegacy(pairs2[0].Live, pairs2[0].Frozen)
+	legacy, _ := CollapseLegacy(pairs2[0].Live, pairs2[0].Frozen)
 
 	if aurora >= legacy {
 		t.Fatalf("aurora moved %d, legacy moved %d; want aurora << legacy", aurora, legacy)
@@ -687,5 +687,80 @@ func TestEvictAndPageInViaPager(t *testing.T) {
 	}
 	if string(got) != "swapped" {
 		t.Fatalf("after swap-in: %q", got)
+	}
+}
+
+// A copy-on-write fault supersedes the source frame, but a translation
+// whose chain still resolves to it is revalidated on the hit path without
+// a fault: the forked sibling's view is unchanged, and so is its cost.
+func TestSupersededTranslationRevalidatesFree(t *testing.T) {
+	sys := newSys()
+	parent := sys.NewMap()
+	obj := sys.NewObject(Anonymous, 1<<20)
+	va, _ := parent.Map(obj, 0, 1<<20, ProtRead|ProtWrite, false)
+	parent.Write(va, []byte{1})
+	child := parent.Fork() // both sides shadow obj
+	got := make([]byte, 1)
+	child.Read(va, got) // read translation of obj's frame
+	parent.Write(va, []byte{2})
+	before := sys.Clk.Now()
+	child.Read(va, got)
+	if got[0] != 1 {
+		t.Fatalf("child reads %d, want 1", got[0])
+	}
+	if d := sys.Clk.Now() - before; d != 0 {
+		t.Fatalf("revalidated read charged %v, want 0", d)
+	}
+	var stale []uint64
+	child.AuditPTEs(func(va uint64, _ PTE, _ *Object, bad bool) {
+		if bad {
+			stale = append(stale, va)
+		}
+	})
+	if len(stale) != 0 {
+		t.Fatalf("coherent map reported stale translations at %#x", stale)
+	}
+}
+
+// AuditPTEs marks a live translation whose frame is not the one the
+// entry's object resolves.
+func TestAuditPTEsFlagsStaleTranslation(t *testing.T) {
+	sys := newSys()
+	m := sys.NewMap()
+	obj := sys.NewObject(Anonymous, 1<<20)
+	va, _ := m.Map(obj, 0, 1<<20, ProtRead|ProtWrite, false)
+	m.Write(va, []byte{1})
+	m.Write(va+PageSize, []byte{2})
+	other := m.ptes[va+PageSize].Page
+	m.ptes[va].Page, m.ptes[va].gen = other, other.Gen()
+	var stale []uint64
+	m.AuditPTEs(func(va uint64, _ PTE, _ *Object, bad bool) {
+		if bad {
+			stale = append(stale, va)
+		}
+	})
+	if len(stale) != 1 || stale[0] != va {
+		t.Fatalf("stale translations %#x, want [%#x]", stale, va)
+	}
+}
+
+// The collapse primitives return their cost and leave the clock alone;
+// CollapseFlushed charges it (TestAblationCollapseVirtualCost).
+func TestCollapseCostReturnedNotCharged(t *testing.T) {
+	sys := newSys()
+	m := sys.NewMap()
+	obj := sys.NewObject(Anonymous, 1<<20)
+	va, _ := m.Map(obj, 0, 1<<20, ProtRead|ProtWrite, false)
+	m.Write(va, bytes.Repeat([]byte{1}, 4*PageSize))
+	SystemShadow(sys, []*Map{m}, nil)
+	m.Write(va, bytes.Repeat([]byte{2}, 3*PageSize))
+	pairs := SystemShadow(sys, []*Map{m}, nil)
+	before := sys.Clk.Now()
+	moved, cost := CollapseAurora(pairs[0].Live, pairs[0].Frozen)
+	if sys.Clk.Now() != before {
+		t.Fatal("CollapseAurora advanced the clock")
+	}
+	if moved != 3 || cost != 3*sys.Costs.CollapsePerPage {
+		t.Fatalf("moved %d pages costing %v, want 3 costing %v", moved, cost, 3*sys.Costs.CollapsePerPage)
 	}
 }
