@@ -164,9 +164,11 @@ type Config struct {
 	// a fresh connection from this description.
 	Net *NetConfig
 	// Clock, when non-nil, runs the machine on an existing virtual timeline
-	// instead of a fresh one. Fleet scenarios share one clock across every
-	// machine so cross-machine event ordering ("power-cut machine 2 at
-	// t=5s") is well-defined and replayable.
+	// instead of a fresh one. Machines sharing a clock run one after
+	// another: their work adds up on it. The placement unit tests drive a
+	// small fleet that way. The scenario engine does not: each of its
+	// machines gets its own clock, and a barrier at every tick keeps them
+	// aligned.
 	Clock *clock.Virtual
 	// Fault, when non-nil, interposes a deterministic fault-injection
 	// device (internal/faultdev) between the store and the striped disks.

@@ -171,3 +171,32 @@ func TestCLIBadUsage(t *testing.T) {
 		t.Fatal("missing image succeeded")
 	}
 }
+
+// TestCLIFleetGolden pins the demo fleet's output byte for byte: the run
+// is a seeded scenario on virtual clocks, so any drift is a change in the
+// engine, the coordinator, or the rendering. After an intended change,
+// regenerate with
+//
+//	go run ./cmd/sls fleet status -kill m1 > cmd/sls/testdata/fleet-status-kill-m1.golden
+//	go run ./cmd/sls top -kill m1 > cmd/sls/testdata/top-kill-m1.golden
+func TestCLIFleetGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a binary")
+	}
+	bin := buildCLI(t)
+	for _, c := range []struct {
+		golden string
+		args   []string
+	}{
+		{"fleet-status-kill-m1.golden", []string{"fleet", "status", "-kill", "m1"}},
+		{"top-kill-m1.golden", []string{"top", "-kill", "m1"}},
+	} {
+		want, err := os.ReadFile(filepath.Join("testdata", c.golden))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runCLI(t, bin, nil, c.args...); got != string(want) {
+			t.Errorf("sls %s differs from testdata/%s:\n--- got\n%s--- want\n%s", strings.Join(c.args, " "), c.golden, got, want)
+		}
+	}
+}

@@ -9,10 +9,10 @@ package main
 // then exports it as Prometheus text or the deterministic JSON snapshot.
 // No image file is touched; the run is its own world, like `sls trace`.
 //
-// `sls top` drives the same instrumented demo fleet as `sls fleet
-// status` but renders the end state as a per-machine metrics table —
-// checkpoints, stop-time p99, WAL commits, restores, replica syncs —
-// with the coordinator's fleet counters and any SLO breaches below it.
+// `sls top` runs the same demo fleet scenario as `sls fleet status` but
+// renders the run's end-of-run metrics snapshot as a per-machine table —
+// checkpoints, stop-time p99, WAL commits, restores, replica syncs — with
+// the coordinator's fleet counters and any SLO breaches below it.
 
 import (
 	"flag"
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"aurora"
+	"aurora/internal/scenario"
 	"aurora/internal/telemetry"
 )
 
@@ -102,59 +103,78 @@ func cmdMetrics(args []string) error {
 }
 
 func cmdTop(args []string) error {
-	fs := flag.NewFlagSet("top", flag.ExitOnError)
-	nMachines := fs.Int("machines", 4, "fleet size")
-	nGroups := fs.Int("groups", 3, "managed groups (first machines get one each)")
-	ticks := fs.Int("ticks", 40, "drive rounds (1ms of virtual time each)")
-	kill := fs.String("kill", "", "machine to kill at the halfway tick")
-	fs.Parse(args)
-
-	d, err := buildFleetDemo(*nMachines, *nGroups)
+	res, err := runDemoFleet("top", args)
 	if err != nil {
 		return err
 	}
-	if err := d.run(*ticks, *kill, nil); err != nil {
-		return err
+	dead := map[string]bool{}
+	for _, e := range res.Events {
+		if e.Kind == scenario.EvMachineDies && e.Err == "" {
+			dead[e.Target] = true
+		}
 	}
+	// The snapshot lists every machine's registry in declaration order,
+	// then the coordinator's as "fleet".
+	snap := res.Metrics
+	coord := snap.Machines[len(snap.Machines)-1]
 
 	fmt.Printf("%-8s %-5s %8s %6s %10s %6s %9s %6s\n",
 		"MACHINE", "UP", "LOAD", "CKPTS", "STOP-P99", "WAL", "RESTORES", "SYNCS")
-	for i, m := range d.machines {
-		name := d.names[i]
+	for _, m := range snap.Machines[:len(snap.Machines)-1] {
 		up := "yes"
-		if d.killed[name] {
+		if dead[m.Machine] {
 			up = "DEAD"
 		}
-		reg := m.Metrics
 		fmt.Printf("%-8s %-5s %8d %6d %10s %6d %9d %6d\n",
-			name, up,
-			d.coordReg.Gauge("fleet.load."+name).Value(),
-			reg.Counter("sls.ckpt.total").Value(),
-			nsStr(reg.Quantile("sls.stop.ns", 0.99)),
-			reg.Counter("sls.wal.commits").Value(),
-			reg.Counter("sls.restores").Value(),
-			reg.Counter("sls.replica.syncs").Value())
+			m.Machine, up,
+			value(coord.Gauges, "fleet.load."+m.Machine),
+			value(m.Counters, "sls.ckpt.total"),
+			nsStr(p99(m.Histograms, "sls.stop.ns")),
+			value(m.Counters, "sls.wal.commits"),
+			value(m.Counters, "sls.restores"),
+			value(m.Counters, "sls.replica.syncs"))
 	}
 	fmt.Printf("\nfleet: alive=%d deaths=%d failovers=%d reseeds=%d orphans=%d sync-errors=%d\n",
-		d.coordReg.Gauge("fleet.alive").Value(),
-		d.coordReg.Counter("fleet.deaths").Value(),
-		d.coordReg.Counter("fleet.failovers").Value(),
-		d.coordReg.Counter("fleet.reseeds").Value(),
-		d.coordReg.Counter("fleet.orphans").Value(),
-		d.coordReg.Counter("fleet.sync_errors").Value())
-	if p99 := d.coordReg.Quantile("fleet.failover.ns", 0.99); p99 > 0 {
+		value(coord.Gauges, "fleet.alive"),
+		value(coord.Counters, "fleet.deaths"),
+		value(coord.Counters, "fleet.failovers"),
+		value(coord.Counters, "fleet.reseeds"),
+		value(coord.Counters, "fleet.orphans"),
+		value(coord.Counters, "fleet.sync_errors"))
+	if fo := p99(coord.Histograms, "fleet.failover.ns"); fo > 0 {
 		fmt.Printf("fleet: failover p99 %s, ckpt stop p99 %s fleet-wide\n",
-			nsStr(p99), nsStr(d.fleet.Quantile("sls.stop.ns", 0.99)))
+			nsStr(fo), nsStr(p99(snap.Merged, "sls.stop.ns")))
 	}
-	if breaches := d.watch.Breaches(); len(breaches) > 0 {
+	if len(res.SLOBreaches) > 0 {
 		fmt.Println()
-		for _, b := range breaches {
-			fmt.Printf("BREACH %s\n", b)
+		for _, b := range res.SLOBreaches {
+			fmt.Printf("BREACH %s: %s\n", b.Machine, b.Breach)
 		}
 	} else {
 		fmt.Println("slo: all objectives met")
 	}
 	return nil
+}
+
+// value looks up a counter or gauge reading in a snapshot list (0 when
+// absent, as a registry reads an untouched metric).
+func value(vs []telemetry.NamedValue, name string) int64 {
+	for _, v := range vs {
+		if v.Name == name {
+			return v.Value
+		}
+	}
+	return 0
+}
+
+// p99 looks up a histogram's 99th percentile in a snapshot list.
+func p99(hs []telemetry.HistView, name string) int64 {
+	for _, h := range hs {
+		if h.Name == name {
+			return h.P99
+		}
+	}
+	return 0
 }
 
 // nsStr renders a nanosecond quantity compactly for the table.

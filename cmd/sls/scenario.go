@@ -2,8 +2,9 @@ package main
 
 // The `sls scenario` verb family: the declarative chaos engine's CLI.
 // Scenarios are data files (YAML or JSON) declaring a fleet, a workload
-// mix, timed fault events, and assertions; the runner executes them on one
-// shared virtual timeline, deterministically per seed. `validate` checks a
+// mix, timed fault events, and assertions; the runner executes them with
+// every machine on its own virtual clock and a barrier at every tick,
+// deterministically per seed. `validate` checks a
 // corpus without running it, `list` enumerates one (optionally as a JSON
 // matrix for CI), and `run` executes and reports.
 

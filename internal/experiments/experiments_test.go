@@ -332,3 +332,40 @@ func TestReplicationShape(t *testing.T) {
 		t.Error("render missing columns")
 	}
 }
+
+func TestFleetShape(t *testing.T) {
+	r, err := Fleet(Quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Rows) != 5 {
+		t.Fatalf("%d rows, want 4 clean + 1 chaos", len(r.Rows))
+	}
+	// Machines run on their own clocks, so aggregate throughput scales
+	// near-linearly with fleet size (floor from EXPERIMENTS.md at 4).
+	for _, want := range []struct {
+		row, machines int
+		floor         float64
+	}{{2, 4, 3.5}, {3, 8, 7}} {
+		row := r.Rows[want.row]
+		if row.Machines != want.machines || row.Chaos {
+			t.Fatalf("row %d: %d machines chaos=%v, want a clean %d-machine row", want.row, row.Machines, row.Chaos, want.machines)
+		}
+		if row.Speedup < want.floor {
+			t.Errorf("%d machines: speedup %.2fx, want >= %.1fx", row.Machines, row.Speedup, want.floor)
+		}
+	}
+	// The chaos row kills m1: the coordinator must fail its group over,
+	// leave nothing orphaned (Fleet fails the run otherwise), and every
+	// survivor must audit clean.
+	chaos := r.Rows[4]
+	if !chaos.Chaos || chaos.Failovers < 1 {
+		t.Errorf("chaos row: chaos=%v failovers=%d, want >= 1 failover", chaos.Chaos, chaos.Failovers)
+	}
+	if !chaos.AuditOK {
+		t.Error("chaos row: a surviving machine failed its audit")
+	}
+	if !strings.Contains(r.Render(), "chaos(kill m1)") {
+		t.Error("render missing the chaos row")
+	}
+}

@@ -4,27 +4,24 @@ package experiments
 // under the placement coordinator. Aurora's continuous checkpointing is
 // per-machine work — no cross-machine coordination sits on the op path —
 // so a fleet of N machines should deliver close to N times the single
-// machine's throughput. The experiment gives every machine its own
-// virtual clock and advances the fleet in lockstep rounds: each round
-// every group runs its ops and checkpoints on its host's clock, then a
-// barrier advances every clock to the fleet-wide maximum (the slowest
-// machine), exactly how wall-clock time behaves for real parallel
-// hardware. A shared clock would serialize the fleet and show flat
-// scaling — the point of the model is that it does not.
+// machine's throughput. Every row is a scenario run through the scenario
+// engine, which gives each machine its own virtual clock and ends every
+// tick at a barrier that moves all clocks to the slowest machine's time,
+// exactly how wall-clock time behaves for real parallel hardware. A shared
+// clock would serialize the fleet and show flat scaling — the point of the
+// model is that it does not.
 //
-// The final row is the chaos run: mid-experiment one machine is
-// power-killed; the coordinator's heartbeat detector notices, every group
-// on the dead machine fails over to its warm standby, and the fleet
-// finishes the workload with the survivors auditing clean.
+// The final row is the chaos run: mid-experiment one machine dies; the
+// coordinator's heartbeat detector notices, every group on the dead
+// machine fails over to its warm standby, and the fleet finishes the
+// workload with the survivors auditing clean.
 
 import (
 	"fmt"
 	"time"
 
-	"aurora"
-	"aurora/internal/clock"
 	"aurora/internal/placement"
-	"aurora/internal/vm"
+	"aurora/internal/scenario"
 )
 
 // FleetRow is one fleet configuration's aggregate result.
@@ -48,35 +45,24 @@ type FleetResult struct {
 	Rows []FleetRow
 }
 
-// fleetApp is one group's workload state.
-type fleetApp struct {
-	name string
-	g    *aurora.Group
-	p    *aurora.Proc
-	host string
-	ops  int64
-}
-
 // Fleet runs the sweep: clean rows at 1, 2, 4, and 8 machines, then a
-// 4-machine run with a mid-run machine kill.
+// 4-machine run in which m1 dies 60% of the way through.
 func Fleet(scale Scale) (*FleetResult, error) {
-	opsPerRound, rounds := int64(400), 60
+	opsPerTick, durationMS := int64(400), int64(260)
 	if scale == Quick {
-		opsPerRound, rounds = 150, 30
+		opsPerTick, durationMS = 150, 60
 	}
 	res := &FleetResult{}
-	for _, n := range []int{1, 2, 4, 8} {
-		row, err := fleetRun(n, opsPerRound, rounds, false)
+	for _, run := range []struct {
+		machines int
+		chaos    bool
+	}{{1, false}, {2, false}, {4, false}, {8, false}, {4, true}} {
+		row, err := fleetRow(fleetScenario(run.machines, opsPerTick, durationMS, run.chaos), run.chaos)
 		if err != nil {
-			return nil, fmt.Errorf("fleet n=%d: %w", n, err)
+			return nil, err
 		}
 		res.Rows = append(res.Rows, row)
 	}
-	chaos, err := fleetRun(4, opsPerRound, rounds, true)
-	if err != nil {
-		return nil, fmt.Errorf("fleet chaos: %w", err)
-	}
-	res.Rows = append(res.Rows, chaos)
 	if base := res.Rows[0].OpsPerSec; base > 0 {
 		for i := range res.Rows {
 			res.Rows[i].Speedup = res.Rows[i].OpsPerSec / base
@@ -85,181 +71,97 @@ func Fleet(scale Scale) (*FleetResult, error) {
 	return res, nil
 }
 
-// fleetRun drives one fleet configuration: n machines, one group each.
-func fleetRun(n int, opsPerRound int64, rounds int, chaos bool) (FleetRow, error) {
-	// The coordinator runs on its own fleet clock, advanced with the
-	// barrier; machine clocks are independent — that is the scaling model.
-	fleetClk := clock.NewVirtual()
-	cfg := placement.Config{
-		SyncEvery:      40 * time.Millisecond,
-		HeartbeatEvery: 2 * time.Millisecond,
-	}
-	if chaos {
-		cfg.RebalanceEvery = 25 * time.Millisecond
-		cfg.HotFactor = 1.5
-	}
-	coord := placement.New(fleetClk, cfg)
-
-	var machines []*aurora.Machine
-	var clocks []*clock.Virtual
-	apps := make([]*fleetApp, 0, n)
-	for i := 0; i < n; i++ {
-		m, err := aurora.NewMachine(aurora.Config{StorageBytes: 256 << 20})
-		if err != nil {
-			return FleetRow{}, err
-		}
-		name := fmt.Sprintf("m%d", i)
-		if _, err := coord.AddMachine(name, m); err != nil {
-			return FleetRow{}, err
-		}
-		machines = append(machines, m)
-		clocks = append(clocks, m.Clock)
-	}
-	step := func(a *fleetApp, ops int64, m *aurora.Machine) error {
-		var buf [8]byte
-		for i := int64(0); i < ops; i++ {
-			// Touch a rotating page so checkpoints always have a delta.
-			addr := vm.UserBase + uint64((a.ops%64)*vm.PageSize)
-			if err := a.p.ReadMem(addr, buf[:]); err != nil {
-				return err
-			}
-			buf[0]++
-			if err := a.p.WriteMem(addr, buf[:]); err != nil {
-				return err
-			}
-			m.Clock.Advance(10 * time.Microsecond)
-			a.ops++
-		}
-		coord.RecordOps(a.name, ops)
-		return nil
+// fleetScenario declares one fleet configuration: n machines m0..m(n-1),
+// one counter group each, checkpointing every tick. A 1-machine fleet has
+// nowhere to put a standby, so the baseline runs without a placement
+// block; chaos adds the rebalance scan and kills m1 at 60% of the run.
+func fleetScenario(n int, opsPerTick, durationMS int64, chaos bool) *scenario.Scenario {
+	sc := &scenario.Scenario{
+		Name:       fmt.Sprintf("fleet-%d", n),
+		Seed:       1,
+		DurationMS: durationMS,
 	}
 	for i := 0; i < n; i++ {
-		m := machines[i]
-		name := fmt.Sprintf("g%d", i)
-		host := fmt.Sprintf("m%d", i)
-		p := m.Spawn(name)
-		if _, err := p.Mmap(64*vm.PageSize, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
-			return FleetRow{}, err
-		}
-		g, err := m.Attach(name, p)
-		if err != nil {
-			return FleetRow{}, err
-		}
-		a := &fleetApp{name: name, g: g, p: p, host: host}
-		apps = append(apps, a)
-		hostM := m
-		// A 1-machine fleet cannot host a standby anywhere; the baseline row
-		// runs unmanaged rather than asking Manage for the impossible.
-		if n > 1 {
-			if _, err := coord.Manage(name, host, func() error { return step(a, 8, hostM) }); err != nil {
-				return FleetRow{}, err
-			}
-		}
+		m := fmt.Sprintf("m%d", i)
+		sc.Machines = append(sc.Machines, scenario.MachineDecl{Name: m})
+		sc.Workloads = append(sc.Workloads, scenario.WorkloadDecl{
+			Machine:           m,
+			Group:             fmt.Sprintf("g%d", i),
+			App:               scenario.AppCounter,
+			OpsPerTick:        opsPerTick,
+			CheckpointEveryMS: 1,
+		})
 	}
-
-	// Lockstep barrier: every clock (machines + fleet) advances to the
-	// fleet-wide maximum — the slowest machine sets the pace, as real
-	// wall-clock time would.
-	barrier := func() {
-		max := fleetClk.Now()
-		for _, c := range clocks {
-			if c.Now() > max {
-				max = c.Now()
-			}
-		}
-		for _, c := range clocks {
-			c.Advance(max - c.Now())
-		}
-		fleetClk.Advance(max - fleetClk.Now())
+	if n > 1 {
+		sc.Placement = &scenario.PlacementDecl{SyncEveryMS: 40, HeartbeatEveryMS: 2}
 	}
-	rebind := func(evs []placement.Event) {
-		for _, e := range evs {
-			if e.G == nil {
-				continue
-			}
-			for _, a := range apps {
-				if a.name != e.Group {
-					continue
-				}
-				a.g = e.G
-				a.host = e.To
-				if procs := e.G.Procs(); len(procs) == 1 {
-					a.p = procs[0]
-				}
-			}
-		}
-	}
-	machineOf := func(host string) *aurora.Machine {
-		node, _ := coord.Node(host)
-		return node.M
-	}
-
-	barrier()
-	start := fleetClk.Now()
-	killRound := -1
 	if chaos {
-		killRound = rounds * 6 / 10
-	}
-	row := FleetRow{Machines: n, Groups: n, Chaos: chaos, AuditOK: true}
-	down := map[string]bool{}
-	for r := 0; r < rounds; r++ {
-		if r == killRound {
-			down["m1"] = true
-			if err := coord.KillMachine("m1"); err != nil {
-				return FleetRow{}, err
-			}
-		}
-		for _, a := range apps {
-			host := a.host
-			if as, ok := coord.Assignment(a.name); ok {
-				if as.Orphaned || down[as.Primary] {
-					continue
-				}
-				host = as.Primary
-			}
-			m := machineOf(host)
-			if err := step(a, opsPerRound, m); err != nil {
-				return FleetRow{}, fmt.Errorf("group %s: %w", a.name, err)
-			}
-			row.Ops += opsPerRound
-			if _, err := a.g.Checkpoint(aurora.CkptIncremental); err != nil {
-				return FleetRow{}, fmt.Errorf("checkpoint %s: %w", a.name, err)
-			}
-			row.Checkpoints++
-		}
-		barrier()
-		rebind(coord.Tick())
-	}
-	row.Elapsed = fleetClk.Now() - start
-	if row.Elapsed > 0 {
-		row.OpsPerSec = float64(row.Ops) / row.Elapsed.Seconds()
-	}
-	row.Failovers = coord.Failovers()
-	row.Rebalances = coord.Rebalances()
-	for _, a := range apps {
-		as, ok := coord.Assignment(a.name)
-		if !ok {
-			continue
-		}
-		row.Syncs += as.Syncs
-		if chaos {
-			if as.Orphaned {
-				return FleetRow{}, fmt.Errorf("group %s orphaned: standby failover did not cover the kill", a.name)
-			}
-			if down[as.Primary] {
-				return FleetRow{}, fmt.Errorf("group %s still placed on the killed machine", a.name)
-			}
+		sc.Name += "-chaos"
+		sc.Placement.RebalanceEveryMS = 25
+		sc.Placement.HotFactor = 1.5
+		sc.Events = []scenario.EventDecl{{AtMS: durationMS * 6 / 10, Kind: scenario.EvMachineDies, Machine: "m1"}}
+		sc.Assertions = []scenario.AssertionDecl{
+			{Kind: scenario.AssertFleetHealth},
+			{Kind: scenario.AssertFailoversAtLeast, Min: 1},
 		}
 	}
 	// Every surviving machine must audit clean — a failover that corrupts
 	// kernel/store invariants is not a failover.
-	for i, m := range machines {
-		if down[fmt.Sprintf("m%d", i)] {
+	for _, md := range sc.Machines {
+		if chaos && md.Name == "m1" {
 			continue
 		}
-		if rep := m.Audit(); !rep.OK() {
+		sc.Assertions = append(sc.Assertions, scenario.AssertionDecl{Kind: scenario.AssertAuditClean, Machine: md.Name})
+	}
+	return sc
+}
+
+// fleetRow runs one fleet scenario and folds its result into a table row.
+// A dirty audit is reported in the row; any other failed assertion, a
+// runtime error, or a group left down fails the experiment.
+func fleetRow(sc *scenario.Scenario, chaos bool) (FleetRow, error) {
+	res, err := scenario.Run(sc, scenario.RunOptions{})
+	if err != nil {
+		return FleetRow{}, fmt.Errorf("%s: %w", sc.Name, err)
+	}
+	if len(res.Errors) > 0 {
+		return FleetRow{}, fmt.Errorf("%s: %s", sc.Name, res.Errors[0])
+	}
+	row := FleetRow{
+		Machines: len(sc.Machines),
+		Groups:   len(sc.Workloads),
+		Elapsed:  time.Duration(res.ElapsedNS),
+		Chaos:    chaos,
+		AuditOK:  true,
+	}
+	for _, a := range res.Assertions {
+		switch {
+		case a.Pass:
+		case a.Decl.Kind == scenario.AssertAuditClean:
 			row.AuditOK = false
+		default:
+			return FleetRow{}, fmt.Errorf("%s: %s: %s", sc.Name, a.Decl.Kind, a.Detail)
 		}
+	}
+	for _, g := range res.Groups {
+		if !g.Alive {
+			return FleetRow{}, fmt.Errorf("%s: group %s is down on %s", sc.Name, g.Group, g.Machine)
+		}
+		row.Ops += g.Ops
+		row.Checkpoints += g.Checkpoints
+		row.Syncs += g.Syncs
+	}
+	for _, e := range res.Events {
+		switch {
+		case e.Err != "":
+		case e.Kind == "fleet-"+placement.EvFailover.String():
+			row.Failovers++
+		case e.Kind == "fleet-"+placement.EvRebalance.String():
+			row.Rebalances++
+		}
+	}
+	if row.Elapsed > 0 {
+		row.OpsPerSec = float64(row.Ops) / row.Elapsed.Seconds()
 	}
 	return row, nil
 }

@@ -8,8 +8,10 @@
 // The coordinator is deterministic by construction: machines and groups
 // are iterated in registration order, standby and migration targets are
 // chosen by (load, registration order), and all cadences run off one
-// injected virtual clock. Two fleets built the same way and ticked the
-// same way emit byte-identical event logs and status renderings.
+// injected virtual clock: the fleet timeline, which need not be the clock
+// the machines themselves run on. Two fleets built the same way and
+// ticked the same way emit byte-identical event logs and status
+// renderings.
 //
 // One asymmetry shapes standby placement: a full replica seed into a
 // machine whose store already holds the group is refused (the manifest
@@ -499,7 +501,7 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	start := c.clk.Now()
 	sp := c.tr.Begin(trace.TrackFleet, "fleet.failover")
 	spArgs := []trace.Arg{trace.S("group", a.Name), trace.S("from", deadPrimary), trace.S("to", a.Standby)}
-	g, _, err := a.rep.Failover(aurora.RestoreEager)
+	g, rst, err := a.rep.Failover(aurora.RestoreEager)
 	if err != nil {
 		sp.End(append(spArgs, trace.S("err", err.Error()))...)
 		a.Orphaned = true
@@ -516,13 +518,14 @@ func (c *Coordinator) failover(a *Assignment, deadPrimary string, evs *[]Event) 
 	c.count("fleet.failovers", 1)
 
 	// Latency from the moment the driver cut power (when known; a watchdog
-	// declare has no ground-truth kill time, so fall back to the promotion
-	// itself): detection window plus promote, the number an operator means
-	// by "failover latency".
-	now := c.clk.Now()
-	lat := now - start
-	if dn := c.nodes[deadPrimary]; dn != nil && dn.downAt > 0 && now > dn.downAt {
-		lat = now - dn.downAt
+	// declare has no ground-truth kill time, so only the promotion counts):
+	// detection window plus promote, the number an operator means by
+	// "failover latency". The promote is the restore's own time, read from
+	// its stats: it ran on the standby machine's clock, which need not be
+	// the coordinator's.
+	lat := rst.Time
+	if dn := c.nodes[deadPrimary]; dn != nil && dn.downAt > 0 && start > dn.downAt {
+		lat += start - dn.downAt
 	}
 	c.observe("fleet.failover.ns", int64(lat))
 	if mtr := c.nodes[newPrimary].M.Tracer; mtr != nil && c.tr != nil {
@@ -765,7 +768,7 @@ func (c *Coordinator) MigrateGroup(group, to string) ([]Event, error) {
 // replica handle, and reseeds a standby from the new primary.
 func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	src := c.nodes[a.Primary]
-	start := c.clk.Now()
+	srcStart, dstStart := src.M.Clock.Now(), target.M.Clock.Now()
 	sp := c.tr.Begin(trace.TrackFleet, "fleet.migrate")
 	spArgs := []trace.Arg{trace.S("group", a.Name), trace.S("from", src.Name), trace.S("to", target.Name)}
 	g, _, err := src.M.MigrateTo(target.M, a.Name, c.cfg.MigrateRounds, a.work)
@@ -793,7 +796,14 @@ func (c *Coordinator) migrate(a *Assignment, target *Node, evs *[]Event) {
 	a.Migrations++
 	c.rebalances++
 	c.count("fleet.migrations", 1)
-	c.observe("fleet.migrate.ns", int64(c.clk.Now()-start))
+	// The move ran on the two machines' clocks, not the coordinator's: its
+	// duration is what each of them spent, summed — what one clock shared
+	// by both would have read.
+	dur := src.M.Clock.Now() - srcStart
+	if target.M.Clock != src.M.Clock {
+		dur += target.M.Clock.Now() - dstStart
+	}
+	c.observe("fleet.migrate.ns", int64(dur))
 	if mtr := target.M.Tracer; mtr != nil && c.tr != nil {
 		id := int64(telemetry.FlowID(c.src, sp.ID()))
 		mtr.Instant(trace.TrackFleet, "fleet.receive",

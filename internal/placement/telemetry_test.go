@@ -218,3 +218,106 @@ func TestLoadGaugesTrackPrimaries(t *testing.T) {
 		t.Fatalf("fleet.load.aur1 = %d, want 0 (standby only)", got)
 	}
 }
+
+// newIslandFleet builds n machines each on its own clock, as the scenario
+// engine runs them, under a coordinator on a separate fleet clock, and
+// manages group g0 on the first machine.
+func newIslandFleet(t *testing.T, n int, cfg Config) (*clock.Virtual, *Coordinator, *telemetry.Registry, []*aurora.Machine) {
+	t.Helper()
+	fleetClk := clock.NewVirtual()
+	c := New(fleetClk, cfg)
+	reg := telemetry.New(fleetClk)
+	c.Instrument(nil, reg)
+	var ms []*aurora.Machine
+	for i := 0; i < n; i++ {
+		name := "aur" + string(rune('0'+i))
+		m, err := aurora.NewMachine(aurora.Config{Name: name, StorageBytes: 64 << 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.AddMachine(name, m); err != nil {
+			t.Fatal(err)
+		}
+		ms = append(ms, m)
+	}
+	p := ms[0].Spawn("g0")
+	if _, err := p.Mmap(appRegion, aurora.ProtRead|aurora.ProtWrite, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ms[0].Attach("g0", p); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Manage("g0", "aur0", nil); err != nil {
+		t.Fatal(err)
+	}
+	return fleetClk, c, reg, ms
+}
+
+// TestFailoverLatencyCountsPromoteOnSeparateClocks: the promote (the
+// standby's restore) advances only the standby's clock, never the
+// coordinator's, so fleet.failover.ns must add the restore's own time to
+// the detection window rather than read both off the coordinator clock.
+func TestFailoverLatencyCountsPromoteOnSeparateClocks(t *testing.T) {
+	fleetClk, c, reg, ms := newIslandFleet(t, 2, Config{SyncEvery: 2 * time.Millisecond, HeartbeatEvery: time.Millisecond})
+	tick := func() []Event {
+		fleetClk.Advance(time.Millisecond)
+		return c.Tick()
+	}
+	for i := 0; i < 5; i++ {
+		tick()
+	}
+
+	killAt := fleetClk.Now()
+	if err := c.KillMachine("aur0"); err != nil {
+		t.Fatal(err)
+	}
+	var detected, promote time.Duration
+	for i := 0; i < 20 && detected == 0; i++ {
+		before := ms[1].Clock.Now()
+		for _, e := range tick() {
+			if e.Kind == EvFailover {
+				detected = e.At - killAt
+				promote = ms[1].Clock.Now() - before
+			}
+		}
+	}
+	if detected == 0 {
+		t.Fatal("no failover after kill")
+	}
+	if promote <= 0 {
+		t.Fatal("the promote did not advance the standby's clock")
+	}
+	h := reg.HistogramCopy("fleet.failover.ns")
+	if h == nil || h.Samples() != 1 {
+		t.Fatalf("fleet.failover.ns samples = %v, want 1", h)
+	}
+	if got, want := time.Duration(h.Quantile(1)), detected+promote; got != want {
+		t.Fatalf("fleet.failover.ns = %v, want detection %v + promote %v = %v", got, detected, promote, want)
+	}
+}
+
+// TestMigrateLatencyReadsMachineClocks: a migration runs on the source's
+// and the target's clocks, so fleet.migrate.ns must come from them — the
+// coordinator's clock does not move during the move.
+func TestMigrateLatencyReadsMachineClocks(t *testing.T) {
+	fleetClk, c, reg, ms := newIslandFleet(t, 3, Config{})
+	before := fleetClk.Now()
+	srcStart, dstStart := ms[0].Clock.Now(), ms[2].Clock.Now()
+	if _, err := c.MigrateGroup("g0", "aur2"); err != nil {
+		t.Fatal(err)
+	}
+	if fleetClk.Now() != before {
+		t.Fatalf("the migration moved the coordinator clock by %v", fleetClk.Now()-before)
+	}
+	h := reg.HistogramCopy("fleet.migrate.ns")
+	if h == nil || h.Samples() != 1 {
+		t.Fatalf("fleet.migrate.ns samples = %v, want 1", h)
+	}
+	// The reseed after the move also runs on the target's clock, so the
+	// two clocks together advanced at least the measured move.
+	got := time.Duration(h.Quantile(1))
+	spent := ms[0].Clock.Now() - srcStart + ms[2].Clock.Now() - dstStart
+	if got <= 0 || got > spent {
+		t.Fatalf("fleet.migrate.ns = %v, want in (0, %v]", got, spent)
+	}
+}

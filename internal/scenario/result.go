@@ -43,6 +43,10 @@ type Result struct {
 	// part of the JSON result — WriteArtifacts saves it as timeline.json —
 	// but it is folded into the fingerprint.
 	TimelineJSON string `json:"-"`
+	// Status is the placement coordinator's end-of-run status rendering
+	// (scenarios with a placement block): nodes, assignments, and the
+	// fleet's SLO breach log.
+	Status string `json:"status,omitempty"`
 	// Errors are runtime failures recorded mid-run (a sync that exhausted
 	// retries under a partition, a workload that died with its machine).
 	// They are evidence, not verdicts: the assertions judge the run.
@@ -126,6 +130,9 @@ func (r *Result) Fingerprint() string {
 	}
 	for _, e := range r.Errors {
 		w("error %s\n", e)
+	}
+	if r.Status != "" {
+		w("status\n%s", r.Status)
 	}
 	for _, b := range r.SLOBreaches {
 		w("breach %s %s\n", b.Machine, b.Breach)

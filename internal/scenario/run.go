@@ -191,8 +191,10 @@ func subseed(base int64, label string) int64 {
 }
 
 func (r *runner) setup() error {
-	// One virtual timeline for the whole fleet: cross-machine event times
-	// ("cut machine b at t=40ms") are well-defined and replayable.
+	// Each machine runs on its own virtual clock, so the work of N machines
+	// overlaps instead of adding up; r.clk is the fleet timeline the events,
+	// the coordinator, and the tick targets read. The barrier that ends
+	// every tick realigns them all (see barrier).
 	r.clk = clock.NewVirtual()
 	for _, md := range r.sc.Machines {
 		storage := md.StorageMB << 20
@@ -202,7 +204,6 @@ func (r *runner) setup() error {
 		cfg := aurora.Config{
 			Name:         md.Name,
 			StorageBytes: storage,
-			Clock:        r.clk,
 			Trace:        md.Trace,
 			Telemetry:    r.sc.Telemetry != nil,
 			// Every scenario machine carries a (disarmed) fault device so
@@ -373,11 +374,15 @@ func (r *runner) duration() time.Duration {
 // eventAt is an event's stretched fire time in virtual milliseconds.
 func (r *runner) eventAt(e EventDecl) int64 { return e.AtMS * r.stretch() }
 
-// drive is the deterministic main loop: one shared virtual timeline,
-// advanced tick by tick; events fire when their time arrives, workloads
-// step in declaration order, cadences (checkpoints, syncs) trigger on
-// their periods. Everything iterates in declaration order — never over a
-// map — so a seed replays bit-identically.
+// drive is the deterministic main loop, advanced tick by tick on the fleet
+// timeline: events fire when their time arrives, workloads step in
+// declaration order, cadences (checkpoints, syncs) trigger on their
+// periods, and the tick ends at a barrier. Every machine spends the tick
+// on its own clock; the barrier then moves the fleet timeline and every
+// machine clock to the latest of them, as wall-clock time does on real
+// parallel hardware: the slowest machine sets the pace. Everything
+// iterates in declaration order — never over a map — so a seed replays
+// bit-identically.
 func (r *runner) drive() {
 	clk := r.clk
 	end := r.duration()
@@ -393,6 +398,9 @@ func (r *runner) drive() {
 	})
 	nextEv := 0
 
+	// Setup (booting, seeding standbys) ran on the machine clocks; the run
+	// starts once the slowest machine is ready.
+	r.barrier(0)
 	for clk.Now() < end {
 		target := clk.Now() + tick
 		nowMS := int64(clk.Now() / time.Millisecond)
@@ -441,9 +449,7 @@ func (r *runner) drive() {
 			r.sampleTelemetry()
 		}
 
-		if clk.Now() < target {
-			clk.Advance(target - clk.Now())
-		}
+		r.barrier(target)
 	}
 
 	// Late events (scheduled at or past the end) still fire once, so a
@@ -455,6 +461,22 @@ func (r *runner) drive() {
 		}
 		nextEv++
 	}
+	r.barrier(0)
+}
+
+// barrier moves the fleet timeline and every machine clock, dead machines
+// included, to the latest of them, and at least to target, so every clock
+// reads the same time when the next tick starts.
+func (r *runner) barrier(target time.Duration) {
+	latest := max(target, r.clk.Now())
+	for _, name := range r.machineOrder {
+		latest = max(latest, r.machines[name].m.Clock.Now())
+	}
+	r.clk.Advance(latest - r.clk.Now())
+	for _, name := range r.machineOrder {
+		c := r.machines[name].m.Clock
+		c.Advance(latest - c.Now())
+	}
 }
 
 // sampleTelemetry is one sampler-cadence tick: every registry snapshots
@@ -464,11 +486,13 @@ func (r *runner) drive() {
 // counter (the sls.slo audit family cross-checks counter against breach
 // log), and the run result.
 func (r *runner) sampleTelemetry() {
-	now := r.clk.Now()
 	for _, name := range r.machineOrder {
 		ms := r.machines[name]
 		reg := ms.m.Metrics
 		reg.Sample()
+		// A machine's watch judges its registry at the machine's own time,
+		// the clock its samples were stamped with.
+		now := ms.m.Clock.Now()
 		for _, b := range r.tele.watches[name].Eval(reg, now) {
 			reg.Counter("slo.breaches").Add(1)
 			ms.m.Flight.Record(int64(now), flight.EvSLOBreach,
@@ -478,7 +502,7 @@ func (r *runner) sampleTelemetry() {
 	}
 	if cr := r.tele.coordReg; cr != nil {
 		cr.Sample()
-		for _, b := range r.tele.coordWatch.Eval(cr, now) {
+		for _, b := range r.tele.coordWatch.Eval(cr, r.clk.Now()) {
 			cr.Counter("slo.breaches").Add(1)
 			r.recordBreach("fleet", b)
 		}
@@ -524,7 +548,7 @@ func (r *runner) checkpointGroup(key string, gs *groupState) {
 		gs.ckpts++
 		return
 	}
-	start := r.clk.Now()
+	start := gs.host.m.Clock.Now()
 	st, err := gs.g.Checkpoint(gs.ckptKind())
 	if err != nil {
 		r.recordErr("checkpoint %s: %v", key, err)
@@ -549,7 +573,8 @@ func (gs *groupState) ckptKind() aurora.CheckpointKind {
 }
 
 // record books one committed checkpoint: its stop time and the durable
-// window from checkpoint start to the commit persisting on media.
+// window from checkpoint start to the commit persisting on media, both
+// read on the host machine's clock.
 func (gs *groupState) record(st aurora.CheckpointStats, start time.Duration) {
 	gs.ckpts++
 	if st.WALSeq != 0 {
@@ -848,7 +873,7 @@ func (r *runner) fireCheckpoint(e EventDecl) {
 			r.recordEvent(e, e.Group, fmt.Errorf("group is down"))
 			return
 		}
-		start := r.clk.Now()
+		start := gs.host.m.Clock.Now()
 		st, err := gs.g.Checkpoint(gs.ckptKind())
 		if err == nil {
 			err = gs.g.Barrier()
@@ -928,6 +953,10 @@ func (r *runner) finish() {
 			}
 		}
 		r.res.Groups = append(r.res.Groups, st)
+	}
+
+	if r.coord != nil {
+		r.res.Status = r.coord.Status()
 	}
 
 	allOK := true

@@ -1,10 +1,12 @@
 package scenario
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // crashSrc is a small but eventful scenario: a checkpointing memcached
@@ -157,5 +159,46 @@ func TestWriteArtifacts(t *testing.T) {
 	}
 	if !strings.Contains(string(fl), "power.cut") {
 		t.Fatalf("flight artifact missing the cut:\n%s", fl)
+	}
+}
+
+// TestMachinesRunOnTheirOwnClocks is the engine's clock contract: every
+// machine spends a tick on its own clock and the barrier waits only for
+// the slowest, so N machines whose per-tick work overruns the tick do N
+// times the work of one in the same virtual duration. On one shared clock
+// their work would add up and the fleet would do no more than one machine.
+func TestMachinesRunOnTheirOwnClocks(t *testing.T) {
+	fleet := func(n int) *Scenario {
+		sc := &Scenario{Name: fmt.Sprintf("clocks-%d", n), DurationMS: 60}
+		for i := 0; i < n; i++ {
+			m := fmt.Sprintf("m%d", i)
+			sc.Machines = append(sc.Machines, MachineDecl{Name: m})
+			// 400 increments at 10µs each: 4ms of work per 1ms tick.
+			sc.Workloads = append(sc.Workloads, WorkloadDecl{
+				Machine: m, Group: "g" + m, App: AppCounter, OpsPerTick: 400, CheckpointEveryMS: 5,
+			})
+			sc.Assertions = append(sc.Assertions, AssertionDecl{Kind: AssertAuditClean, Machine: m})
+		}
+		return sc
+	}
+	ops := func(n int) (int64, int64) {
+		res, err := Run(fleet(n), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Passed {
+			t.Fatalf("%d machines:\n%s", n, res.Summary())
+		}
+		var total int64
+		for _, g := range res.Groups {
+			total += g.Ops
+		}
+		return total, res.ElapsedNS
+	}
+	one, oneElapsed := ops(1)
+	four, fourElapsed := ops(4)
+	if ratio := float64(four) / float64(one); ratio < 3.5 {
+		t.Fatalf("4 machines did %d ops in %v, 1 machine %d ops in %v: %.2fx, want >= 3.5x",
+			four, time.Duration(fourElapsed), one, time.Duration(oneElapsed), ratio)
 	}
 }

@@ -1,8 +1,8 @@
 // Package scenario is Aurora's declarative chaos engine: a scenario is a
 // data file — YAML or JSON — declaring a fleet of machines, a workload mix
 // drawn from the existing generators (Facebook ETC memcached, Prefix_dist
-// RocksDB, filebench, the counter demo), timed fault events on the shared
-// virtual clock (power cuts, replication-link partitions, bit-rot, live
+// RocksDB, filebench, the counter demo), timed fault events on the fleet's
+// virtual timeline (power cuts, replication-link partitions, bit-rot, live
 // migration, failover), and assertions over the outcome (audit clean,
 // standby caught up, flight timeline contains the cut, p99 stop time under
 // a bound). The runner plugs into the machinery the repo already has —
@@ -11,13 +11,23 @@
 // you can imagine" becomes a corpus of files CI sweeps on every PR instead
 // of bespoke Go harness code.
 //
+// Clock model: every machine runs on its own virtual clock, and the
+// placement coordinator and the event script run on a separate fleet
+// timeline. The runner advances in ticks; within a tick each machine's work
+// advances only its own clock, and the tick ends at a barrier that moves
+// the fleet timeline and every machine clock to the latest of them (at
+// least the tick's target time). The slowest machine sets the pace, as
+// wall-clock time does on real parallel hardware, so N machines do N
+// machines' work per tick instead of summing it on one clock. Events fire
+// at tick start on the fleet timeline, where all clocks agree.
+//
 // Determinism contract: a scenario plus a seed replays bit-identically.
-// Every machine shares one virtual clock; every generator, fault plan, and
-// wire plan is seeded from the scenario seed by declaration position; the
-// runner iterates declarations in order and never ranges over a map. Two
-// runs with the same seed produce identical assertion results, event logs,
-// and flight timelines — Result.Fingerprint() is the proof the CI sweep
-// and the determinism test both pin.
+// Every generator, fault plan, and wire plan is seeded from the scenario
+// seed by declaration position; the runner iterates declarations in order
+// and never ranges over a map. Two runs with the same seed produce
+// identical assertion results, event logs, and flight timelines —
+// Result.Fingerprint() is the proof the CI sweep and the determinism test
+// both pin.
 package scenario
 
 import (
@@ -226,7 +236,7 @@ const (
 
 var eventKinds = []string{EvPowerCut, EvRestore, EvPartition, EvBitRot, EvMigrate, EvFailover, EvCheckpoint, EvSync, EvMachineDies, EvRebalance}
 
-// EventDecl is one timed event on the shared virtual clock.
+// EventDecl is one timed event on the fleet timeline.
 // Runner fallback defaults, hoisted to the schema layer so `scenario
 // validate` reports the effective values and the runner has one source of
 // truth instead of inline magic numbers.

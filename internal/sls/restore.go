@@ -156,7 +156,6 @@ var _ vm.SparsePager = (*storePager)(nil)
 func (o *Orchestrator) RestoreGroup(name string, src Source, mode RestoreMode, continuing bool) (retG *Group, st RestoreStats, retErr error) {
 	sw := clock.StartStopwatch(o.Clk)
 	st.Mode = mode
-	st.Lazy = mode != RestoreFull
 	restSpan := o.tr.Begin(trace.TrackSLS, "restore")
 	if fl := o.Store.Flight(); fl != nil {
 		fl.Record(int64(o.Clk.Now()), flight.EvRestore, int64(o.Store.Epoch()), int64(mode), boolInt(continuing), name)

@@ -120,7 +120,6 @@ type CheckpointStats struct {
 type RestoreStats struct {
 	Epoch      objstore.Epoch
 	Mode       RestoreMode
-	Lazy       bool // any non-eager mode (kept for older callers)
 	Time       time.Duration
 	Procs      int
 	Objects    int

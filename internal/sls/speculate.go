@@ -318,7 +318,6 @@ func (o *Orchestrator) finishSpeculation(groups []*Group) ([]*Group, []RestoreSt
 		pages, validated := g.SpecCounts()
 		st := RestoreStats{
 			Mode:            RestoreSpeculative,
-			Lazy:            true,
 			Epoch:           g.Epoch(),
 			Time:            sw.Elapsed(),
 			PagesSpeculated: pages,

@@ -46,8 +46,8 @@ func TestSpeculativeRestoreLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rst.Mode != RestoreSpeculative || !rst.Lazy {
-		t.Fatalf("stats mode=%v lazy=%v", rst.Mode, rst.Lazy)
+	if rst.Mode != RestoreSpeculative {
+		t.Fatalf("stats mode=%v", rst.Mode)
 	}
 	if rst.TimeToFirstOp <= 0 || rst.TimeToFirstOp != rst.Time {
 		t.Fatalf("time-to-first-op %v (restore time %v)", rst.TimeToFirstOp, rst.Time)
